@@ -5,8 +5,8 @@
 // baseline):
 //   * queue  — raw EventQueue churn: self-rescheduling pop+push ticks, and
 //     the fabric's cancel+reschedule pattern. Guards the indexed-heap core.
-//   * engine — full JobRun ensembles across sim::ShardedRunner at shard
-//     counts {1, 2, 8}: aggregate simulated events/s and runs/s. The
+//   * engine — full JobRun ensembles across a ThreadPool of {1, 2, 8}
+//     shards: aggregate simulated events/s and runs/s. The
 //     1-shard row is the single-thread floor check_bench gates on; the
 //     multi-shard rows report the parallel speedup (informational — CI
 //     containers may have a single core).
@@ -26,12 +26,12 @@
 
 #include "engine/job_run.h"
 #include "sim/cluster.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 #include "trace/replay.h"
 #include "trace/synthetic.h"
 #include "util/check.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -133,11 +133,14 @@ int main(int argc, char** argv) {
   std::vector<EngineSample> engine;
   std::vector<double> reference_jcts;
   for (int shards : shard_counts) {
-    sim::ShardedRunner runner(shards);
-    runner.run<std::pair<double, std::size_t>>(2, run_one);  // warm-up
+    ThreadPool pool(shards);
+    std::vector<std::pair<double, std::size_t>> results(kRuns);
+    auto run_all = [&](std::size_t n) {
+      pool.parallel_for(n, [&](std::size_t i) { results[i] = run_one(i); });
+    };
+    run_all(2);  // warm-up
     const auto t0 = Clock::now();
-    const auto results =
-        runner.run<std::pair<double, std::size_t>>(kRuns, run_one);
+    run_all(kRuns);
     const double ms = ms_since(t0);
 
     std::vector<double> jcts;

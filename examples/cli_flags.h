@@ -1,16 +1,13 @@
-// Shared command-line plumbing for the example CLIs, so delaystage_cli and
-// trace_analysis spell and validate
-// --threads/--seed/--quantile/--trace-out/--metrics-out/--report-out (plus
-// the live-observability flags --flight-out/--prom-out/--telemetry-out/
-// --telemetry-period/--slo) identically, and dispatch subcommands through
-// one registry.
+// Command-line plumbing for delaystage_cli, so every subcommand spells and
+// validates --threads/--seed/--quantile/--trace-out/--metrics-out/
+// --report-out (plus the live-observability flags --flight-out/--prom-out/
+// --telemetry-out/--telemetry-period/--slo) identically, and dispatches
+// through one registry.
 //
 // Subcommand registry: the canonical commands (plan / run / report / trace /
 // serve / sched / demo) are declared once here — name, operand synopsis and
-// summary — and each binary binds run functions to the subset it implements
-// via std_subcommand(), then hands the table to dispatch(). A CLI may name a
-// default command (trace_analysis defaults to `trace`) so bare invocations
-// keep working.
+// summary — and the binary binds run functions to them via
+// std_subcommand(), then hands the table to dispatch().
 //
 // ObsSink owns the per-invocation obs::Observability: construct it from the
 // parsed flags, hand sink.get() to CommonOptions::obs, and call flush() once
@@ -55,18 +52,34 @@ inline std::vector<std::string> flags(int argc, char** argv,
   return out;
 }
 
+// Parse all of `s` as an integer / a number: false on empty text, trailing
+// junk or overflow, so "12x" or "" never silently reads as 12 or 0.
+inline bool parse_int(const std::string& s, long long* v) {
+  std::size_t pos = 0;
+  try {
+    *v = std::stoll(s, &pos);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return pos == s.size();
+}
+
+inline bool parse_num(const std::string& s, double* v) {
+  std::size_t pos = 0;
+  try {
+    *v = std::stod(s, &pos);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return pos == s.size();
+}
+
 inline long long int_flag(int argc, char** argv, const std::string& name,
                           long long fallback) {
   const std::string s = flag(argc, argv, name, "");
   if (s.empty()) return fallback;
-  std::size_t pos = 0;
   long long v = 0;
-  try {
-    v = std::stoll(s, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != s.size())
+  if (!parse_int(s, &v))
     throw std::runtime_error(name + " wants an integer, got '" + s + "'");
   return v;
 }
@@ -75,14 +88,8 @@ inline double num_flag(int argc, char** argv, const std::string& name,
                        double fallback) {
   const std::string s = flag(argc, argv, name, "");
   if (s.empty()) return fallback;
-  std::size_t pos = 0;
   double v = 0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != s.size())
+  if (!parse_num(s, &v))
     throw std::runtime_error(name + " wants a number, got '" + s + "'");
   return v;
 }
@@ -140,7 +147,7 @@ inline CommonFlags parse_common_flags(int argc, char** argv,
 }
 
 // One dispatchable subcommand. `run` receives the binary's full argc/argv
-// (the subcommand name, when given explicitly, sits at argv[1]).
+// (the subcommand name sits at argv[1]).
 struct Subcommand {
   std::string name;
   std::string operands;  // synopsis after the name, e.g. "<job.spec> [flags]"
@@ -148,9 +155,9 @@ struct Subcommand {
   int (*run)(int argc, char** argv) = nullptr;
 };
 
-// The canonical subcommand surface, declared once so both CLIs spell the
-// same names and help text; binaries bind run functions to the subset they
-// implement. Unknown names are an error (catches typos at registry setup).
+// The canonical subcommand surface, declared once with its help text; the
+// binary binds a run function to each. Unknown names are an error (catches
+// typos at registry setup).
 inline Subcommand std_subcommand(const std::string& name,
                                  int (*run)(int, char**)) {
   static const Subcommand kStandard[] = {
@@ -181,15 +188,12 @@ inline Subcommand std_subcommand(const std::string& name,
 }
 
 inline void print_usage(std::ostream& os, const std::string& prog,
-                        const std::vector<Subcommand>& cmds,
-                        const std::string& default_cmd = "") {
+                        const std::vector<Subcommand>& cmds) {
   os << "usage: " << prog << " <command> [args]\n\ncommands:\n";
   for (const Subcommand& c : cmds) {
     os << "  " << c.name;
     if (!c.operands.empty()) os << ' ' << c.operands;
-    os << "\n      " << c.summary;
-    if (c.name == default_cmd) os << " (default)";
-    os << '\n';
+    os << "\n      " << c.summary << '\n';
   }
   os << "\nshared flags: --threads N (0 = hw concurrency), --seed N,\n"
         "  --quantile Q (0 < Q < 1: straggler-quantile planning),\n"
@@ -203,25 +207,18 @@ inline void print_usage(std::ostream& os, const std::string& prog,
         "    sched only — live SLO tracking with violation events)\n";
 }
 
-// Routes argv[1] to its subcommand. `help`/`--help`/`-h` print usage. When
-// `default_cmd` is set, an argv[1] that is no known command (a file operand,
-// a flag, or nothing at all) falls through to that command; otherwise an
-// unknown command is an error.
-inline int dispatch(int argc, char** argv, const std::vector<Subcommand>& cmds,
-                    const std::string& default_cmd = "") {
+// Routes argv[1] to its subcommand. `help`/`--help`/`-h` print usage; an
+// unknown (or missing) command prints usage to stderr and returns 2.
+inline int dispatch(int argc, char** argv, const std::vector<Subcommand>& cmds) {
   const std::string prog = argc > 0 ? argv[0] : "cli";
   const std::string cmd = argc > 1 ? argv[1] : "";
   if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-    print_usage(std::cout, prog, cmds, default_cmd);
+    print_usage(std::cout, prog, cmds);
     return 0;
   }
   for (const Subcommand& c : cmds)
     if (c.name == cmd) return c.run(argc, argv);
-  if (!default_cmd.empty()) {
-    for (const Subcommand& c : cmds)
-      if (c.name == default_cmd) return c.run(argc, argv);
-  }
-  print_usage(std::cerr, prog, cmds, default_cmd);
+  print_usage(std::cerr, prog, cmds);
   return 2;
 }
 

@@ -1,6 +1,6 @@
-// Command-line front end: plan and simulate jobs described by spec files.
-// Subcommands come from the shared registry in cli_flags.h (trace_analysis
-// uses the same one), so both CLIs spell flags and help identically.
+// Command-line front end: plan and simulate jobs described by spec files,
+// and analyse cluster traces. Subcommands come from the registry in
+// cli_flags.h.
 //
 //   ./delaystage_cli plan <job.spec> [--cluster prototype|three_node]
 //                                    [--threads N]   # 0 = hardware concurrency
@@ -30,6 +30,9 @@
 //                          [--fail-rate P] [--max-attempts N]
 //                          [--flight-out FILE] [--telemetry-out FILE]
 //                          [--telemetry-period S] [--slo RULE]...
+//   ./delaystage_cli trace [batch_task.csv] [--threads N] [--seed N]
+//                          [--adaptive] [--perturb-network F]
+//                          [--perturb-compute F] [--report-out FILE]
 //
 // Daemon mode: `serve` reads newline-delimited JSON plan requests on stdin
 // and answers one JSON object per line on stdout (see store/daemon.h for the
@@ -85,6 +88,20 @@
 // nonzero on drift warnings). `run --report-out FILE` attaches the same
 // report to any strategy's run; .csv extension selects CSV, else JSON.
 //
+// Trace analysis: `trace` parses an Alibaba batch_task CSV (or, with no
+// file, generates the synthetic trace) and prints the §2.1 parallel-stage
+// statistics plus a replay of 300 jobs comparing Fuxi with DelayStage. Its
+// --seed (the replay seed) defaults to 7. --trace-out/--metrics-out capture
+// the per-job planner phases and search counters of the DelayStage pass;
+// --report-out writes per-strategy fleet utilization analytics (mean JCT,
+// cluster/job utilization, idle fractions, per-job percentiles, planned
+// delay budget) plus per-job rows. --adaptive switches the replay to the
+// closed loop: jobs are planned on per-workload calibrated profiles,
+// executed through the discrete-event engine, and each run's measured phase
+// spans recalibrate the next recurrence. --perturb-network/--perturb-compute
+// (planner believes F × the truth; 1.0 = accurate) inject model error to
+// watch the calibration converge.
+//
 // Fault flags: --fail-rate (run, sched) aborts each task attempt with
 // probability P — a job whose stage exhausts --max-attempts fails, which in
 // sched also triggers a flight-recorder auto-dump;
@@ -98,9 +115,10 @@
 //   stage,<name>,<tasks>,<input_gb>,<rate_mbps>,<output_gb>,<skew>
 //   edge,<parent_index>,<child_index>
 #include <algorithm>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,6 +142,9 @@
 #include "sim/faults.h"
 #include "store/daemon.h"
 #include "trace/alibaba.h"
+#include "trace/replay.h"
+#include "trace/stats.h"
+#include "trace/synthetic.h"
 #include "util/table.h"
 #include "workloads/workloads.h"
 
@@ -141,25 +162,33 @@ constexpr const char* kDemoSpec =
     "edge,1,4\n"
     "edge,3,4\n";
 
-ds::sim::ClusterSpec cluster_for(const std::string& name) {
-  if (name == "three_node") return ds::sim::ClusterSpec::three_node();
-  return ds::sim::ClusterSpec::paper_prototype();
+// --cluster NAME (default prototype); an unknown name is an error.
+ds::sim::ClusterSpec cluster_flag(int argc, char** argv) {
+  ds::sim::ClusterSpec spec;
+  if (const ds::Status st = ds::sim::ClusterSpec::by_name(
+          ds::cli::flag(argc, argv, "--cluster", "prototype"), &spec);
+      !st.is_ok())
+    throw std::runtime_error(st.message());
+  return spec;
 }
 
-// "NODE@T" or "NODE@T@DOWNTIME" → a scheduled crash.
+// "NODE@T" or "NODE@T@DOWNTIME" → a scheduled crash. Every field must parse
+// in full, so "x@y" is an error rather than node 0 crashing at t = 0.
 ds::sim::NodeCrash parse_crash(const std::string& s) {
-  ds::sim::NodeCrash c;
+  using ds::cli::parse_int;
+  using ds::cli::parse_num;
   const auto first = s.find('@');
-  if (first == std::string::npos)
+  const auto second =
+      first == std::string::npos ? first : s.find('@', first + 1);
+  ds::sim::NodeCrash c;
+  long long node = -1;
+  if (first == std::string::npos || !parse_int(s.substr(0, first), &node) ||
+      node < 0 || node > std::numeric_limits<int>::max() ||
+      !parse_num(s.substr(first + 1, second - first - 1), &c.at) ||
+      (second != std::string::npos &&
+       !parse_num(s.substr(second + 1), &c.downtime)))
     throw std::runtime_error("--crash wants NODE@TIME[@DOWNTIME]: " + s);
-  c.node = std::atoi(s.substr(0, first).c_str());
-  const auto second = s.find('@', first + 1);
-  if (second == std::string::npos) {
-    c.at = std::atof(s.substr(first + 1).c_str());
-  } else {
-    c.at = std::atof(s.substr(first + 1, second - first - 1).c_str());
-    c.downtime = std::atof(s.substr(second + 1).c_str());
-  }
+  c.node = static_cast<int>(node);
   return c;
 }
 
@@ -626,7 +655,102 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
   return fs.failed == 0 ? 0 : 1;
 }
 
-// ---- subcommand entry points (shared registry in cli_flags.h) ----------
+// Trace statistics (§2.1) plus a Fuxi vs DelayStage replay of a 300-job
+// sample, aggregating fleet analytics (per-job and per-strategy) as it goes.
+int cmd_trace(int argc, char** argv, const ds::cli::CommonFlags& cf,
+              ds::cli::ObsSink& sink) {
+  using namespace ds;
+  const bool adaptive = cli::has_flag(argc, argv, "--adaptive");
+  const double perturb_network =
+      cli::num_flag(argc, argv, "--perturb-network", 1.0);
+  const double perturb_compute =
+      cli::num_flag(argc, argv, "--perturb-compute", 1.0);
+  const char* trace_file = nullptr;
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--adaptive") == 0) continue;  // valueless
+    if (argv[i][0] == '-') {
+      ++i;  // every other flag takes a value
+      continue;
+    }
+    trace_file = argv[i];
+  }
+
+  std::vector<trace::TraceJob> jobs;
+  if (trace_file != nullptr) {
+    trace::AlibabaParseStats pstats;
+    jobs = trace::parse_batch_task_file(trace_file, &pstats);
+    std::cout << "parsed " << pstats.rows << " rows -> " << jobs.size()
+              << " usable jobs (" << pstats.dropped_jobs << " dropped, "
+              << pstats.bad_rows << " malformed rows)\n\n";
+  } else {
+    std::cout << "no trace file given; generating a synthetic trace\n\n";
+    trace::SyntheticTraceOptions opt;
+    opt.num_jobs = 2000;
+    opt.seed = 1;  // the generator seed is fixed; --seed varies the replay
+    jobs = trace::synthetic_trace(opt);
+  }
+  if (jobs.empty()) {
+    std::cerr << "no jobs to analyse\n";
+    return 1;
+  }
+
+  const trace::TraceStats st = trace::analyze(jobs);
+  std::cout << "jobs:                        " << st.total_jobs << '\n'
+            << "stages:                      " << st.total_stages << '\n'
+            << "jobs with parallel stages:   "
+            << fmt(100.0 * st.parallel_job_fraction(), 1) << " %\n"
+            << "parallel stages overall:     "
+            << fmt(100.0 * st.parallel_stage_fraction(), 1) << " %\n"
+            << "median stages per job:       "
+            << fmt(st.stages_per_job.percentile(50), 1) << '\n';
+  if (!st.parallel_makespan_share.empty()) {
+    std::cout << "mean parallel makespan share: "
+              << fmt(st.parallel_makespan_share.mean(), 1) << " %\n";
+  }
+
+  std::vector<trace::TraceJob> sample(
+      jobs.begin(), jobs.begin() + std::min<std::size_t>(jobs.size(), 300));
+  obs::analytics::FleetReport fleet;
+  fleet.trace = trace_file != nullptr ? trace_file : "synthetic";
+  std::vector<std::string> cols = {"strategy", "mean JCT (s)", "CPU util %",
+                                   "net util %"};
+  if (adaptive) cols.push_back("mean engine JCT (s)");
+  TablePrinter t(cols);
+  t.set_precision(1);
+  for (const char* strategy : {"Fuxi", "DelayStage"}) {
+    trace::ReplayOptions opt;
+    opt.strategy = strategy;
+    opt.cluster.num_workers = 400;
+    cf.apply(opt);
+    opt.obs = sink.get();
+    opt.adaptive = adaptive;
+    opt.perturb_network = perturb_network;
+    opt.perturb_compute = perturb_compute;
+    if (const Status st = trace::validate(opt); !st.is_ok())
+      throw std::runtime_error(st.message());
+    const trace::ReplayResult r = trace::replay(sample, opt);
+    std::vector<TablePrinter::Cell> row = {std::string(strategy),
+                                           r.mean_jct(), r.mean_cpu_util(),
+                                           r.mean_net_util()};
+    if (adaptive) {
+      double engine_sum = 0;
+      for (const auto& j : r.jobs) engine_sum += j.engine_jct;
+      row.push_back(engine_sum / static_cast<double>(r.jobs.size()));
+    }
+    t.add_row(std::move(row));
+    fleet.strategies.push_back(obs::analytics::fleet_strategy_report(
+        strategy, r, /*keep_jobs=*/!cf.report_out.empty()));
+  }
+  std::cout << '\n';
+  t.print(std::cout);
+  if (!cf.report_out.empty() &&
+      obs::analytics::write_report_file(cf.report_out, fleet))
+    std::cout << "# fleet analytics report written to " << cf.report_out
+              << '\n';
+  return 0;
+}
+
+// ---- subcommand entry points (registry in cli_flags.h) -----------------
 
 ds::dag::JobDag job_operand(int argc, char** argv) {
   return argc > 2 && argv[2][0] != '-'
@@ -641,8 +765,7 @@ int sub_demo(int, char**) {
 
 int sub_plan(int argc, char** argv) {
   using namespace ds;
-  const auto spec =
-      cluster_for(cli::flag(argc, argv, "--cluster", "prototype"));
+  const auto spec = cluster_flag(argc, argv);
   const cli::CommonFlags cf = cli::parse_common_flags(argc, argv);
   cli::ObsSink sink(cf);
   const int rc = cmd_plan(job_operand(argc, argv), spec, cf, sink);
@@ -652,8 +775,7 @@ int sub_plan(int argc, char** argv) {
 
 int sub_run(int argc, char** argv) {
   using namespace ds;
-  const auto spec =
-      cluster_for(cli::flag(argc, argv, "--cluster", "prototype"));
+  const auto spec = cluster_flag(argc, argv);
   const cli::CommonFlags cf = cli::parse_common_flags(argc, argv);
   // `run --report-out` derives its analytics from engine spans, so it needs
   // a live tracer even without --trace-out.
@@ -680,8 +802,7 @@ int sub_run(int argc, char** argv) {
 
 int sub_report(int argc, char** argv) {
   using namespace ds;
-  const auto spec =
-      cluster_for(cli::flag(argc, argv, "--cluster", "prototype"));
+  const auto spec = cluster_flag(argc, argv);
   const cli::CommonFlags cf = cli::parse_common_flags(argc, argv);
   cli::ObsSink sink(cf, /*force_trace=*/true);  // analytics need spans
   const int rc = cmd_report(job_operand(argc, argv), spec, cf, cf.report_out,
@@ -690,11 +811,20 @@ int sub_report(int argc, char** argv) {
   return rc;
 }
 
+int sub_trace(int argc, char** argv) {
+  using namespace ds;
+  // The replay seed defaults to 7 (the other commands use 42).
+  const cli::CommonFlags cf = cli::parse_common_flags(argc, argv, 7);
+  cli::ObsSink sink(cf);
+  const int rc = cmd_trace(argc, argv, cf, sink);
+  sink.flush();
+  return rc;
+}
+
 int sub_serve(int argc, char** argv) {
   using namespace ds;
   // Daemon mode takes no job spec: jobs arrive inside the requests.
-  const auto spec =
-      cluster_for(cli::flag(argc, argv, "--cluster", "prototype"));
+  const auto spec = cluster_flag(argc, argv);
   const cli::CommonFlags cf = cli::parse_common_flags(argc, argv);
   cli::ObsSink sink(cf);
   const int rc = cmd_serve(argc, argv, spec, cf, sink);
@@ -704,8 +834,7 @@ int sub_serve(int argc, char** argv) {
 
 int sub_sched(int argc, char** argv) {
   using namespace ds;
-  const auto spec =
-      cluster_for(cli::flag(argc, argv, "--cluster", "prototype"));
+  const auto spec = cluster_flag(argc, argv);
   const cli::CommonFlags cf = cli::parse_common_flags(argc, argv);
   // sched telemetry is part of the determinism contract (bit-identical for
   // any --threads), so wall-clock metrics (planner wall latency, tracer
@@ -727,6 +856,7 @@ int main(int argc, char** argv) {
                          {cli::std_subcommand("plan", sub_plan),
                           cli::std_subcommand("run", sub_run),
                           cli::std_subcommand("report", sub_report),
+                          cli::std_subcommand("trace", sub_trace),
                           cli::std_subcommand("serve", sub_serve),
                           cli::std_subcommand("sched", sub_sched),
                           cli::std_subcommand("demo", sub_demo)});

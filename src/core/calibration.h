@@ -4,7 +4,7 @@
 // planner's predicted phase spans (network fetch / compute / shuffle write)
 // land from what the engine actually executed. This module closes the loop:
 // a ModelCalibrator folds those residuals into per-workload-signature EWMA
-// correction factors, and a CalibratedPerfModel applies them to a JobProfile
+// correction factors, and calibrated_profile applies them to a JobProfile
 // so the *next* plan for a recurrent workload starts from observed truth
 // instead of the stale profile.
 //
@@ -130,28 +130,5 @@ class ModelCalibrator {
 // Identity factors return a field-for-field copy of `base`.
 JobProfile calibrated_profile(const JobProfile& base,
                               const CalibrationFactors& f);
-
-// Convenience bundle for callers that want "the corrected model" as one
-// object: owns the corrected JobProfile (so the PerfModel's reference stays
-// valid) and the PerfModel built on it. The evaluator and DelayCalculator
-// accept profile() wherever they accept a plain JobProfile; the
-// CalibratedPerfModel must outlive them.
-class CalibratedPerfModel {
- public:
-  CalibratedPerfModel(const JobProfile& base, const CalibrationFactors& f,
-                      ModelOptions model = {})
-      : profile_(calibrated_profile(base, f)),
-        factors_(f),
-        model_(profile_, model) {}
-
-  const JobProfile& profile() const { return profile_; }
-  const PerfModel& model() const { return model_; }
-  const CalibrationFactors& factors() const { return factors_; }
-
- private:
-  JobProfile profile_;
-  CalibrationFactors factors_;
-  PerfModel model_;
-};
 
 }  // namespace ds::core

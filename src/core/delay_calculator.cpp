@@ -32,8 +32,6 @@ Status validate(const CalculatorOptions& options) {
                          "(need at least the grid ends)");
   if (options.sweeps < 1)
     return Status::error("CalculatorOptions: sweeps must be >= 1");
-  if (options.max_paths < 1)
-    return Status::error("CalculatorOptions: max_paths must be >= 1");
   if (options.model.quantile < 0 || options.model.quantile >= 1.0)
     return Status::error("CalculatorOptions: model.quantile must be in "
                          "[0, 1) — 0 plans against the mean, 0.9 against p90");
@@ -106,7 +104,7 @@ DelaySchedule DelayCalculator::compute() const {
   };
 
   // Lines 1–3: execution paths, solo stage times ^t_k, initial path times.
-  out.paths = dag::execution_paths(dag, opt_.max_paths);
+  out.paths = dag::execution_paths(dag);
   if (out.paths.empty()) {
     finalize(out);
     return out;  // no parallel stages — nothing to delay

@@ -46,7 +46,6 @@ struct CalculatorOptions : CommonOptions {
   // in |K| (Fig. 15). Set false for the paper's exhaustive slotted scan.
   bool coarse_to_fine = true;
   int coarse_candidates = 32;
-  std::size_t max_paths = 512;
   // Number of passes over the path list. Pass 1 is Alg. 1 verbatim; further
   // passes re-scan each stage with the others fixed (coordinate descent),
   // catching joint delays the single greedy pass cannot see.

@@ -181,18 +181,6 @@ Counter MetricsRegistry::find_counter(const std::string& name) const {
   return it != counters_.end() ? Counter(it->second.get()) : Counter();
 }
 
-Gauge MetricsRegistry::find_gauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = gauges_.find(name);
-  return it != gauges_.end() ? Gauge(it->second.get()) : Gauge();
-}
-
-Histogram MetricsRegistry::find_histogram(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = histograms_.find(name);
-  return it != histograms_.end() ? Histogram(it->second.get()) : Histogram();
-}
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\n  \"counters\": {";

@@ -165,8 +165,6 @@ class MetricsRegistry {
   // Read-only lookups for export and tests; a missing name yields a disabled
   // handle (value() == 0).
   Counter find_counter(const std::string& name) const;
-  Gauge find_gauge(const std::string& name) const;
-  Histogram find_histogram(const std::string& name) const;
 
   // Dump every metric as JSON, names sorted, histograms with bucket table +
   // 20-point CDF. Values are read relaxed: quiesce writers for exact totals.

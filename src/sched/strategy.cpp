@@ -68,7 +68,7 @@ core::CalculatorOptions co_optimized(core::CalculatorOptions options,
 std::unique_ptr<Strategy> make_strategy(const std::string& name) {
   if (name == "Spark") return std::make_unique<StockSparkStrategy>();
   if (name == "AggShuffle") return std::make_unique<AggShuffleStrategy>();
-  if (name == "Fuxi") return std::make_unique<FuxiStrategy>();
+  if (name == "Fuxi") return std::make_unique<StockSparkStrategy>("Fuxi");
   if (name == "CriticalPathFirst")
     return std::make_unique<CriticalPathFirstStrategy>();
   if (name == "DelayStage") return std::make_unique<DelayStageStrategy>();

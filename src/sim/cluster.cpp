@@ -47,6 +47,18 @@ ClusterSpec ClusterSpec::geo_two_sites() {
   return s;
 }
 
+Status ClusterSpec::by_name(const std::string& name, ClusterSpec* out) {
+  if (name == "prototype") {
+    *out = paper_prototype();
+  } else if (name == "three_node") {
+    *out = three_node();
+  } else {
+    return Status::error("unknown cluster '" + name +
+                         "' (want prototype or three_node)");
+  }
+  return Status::ok();
+}
+
 Cluster::Cluster(Simulator& sim, const ClusterSpec& spec, std::uint64_t seed,
                  obs::Observability* obs)
     : sim_(sim), spec_(spec) {

@@ -10,12 +10,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/executor_pool.h"
 #include "sim/fair_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/status.h"
 
 namespace ds::sim {
 
@@ -58,6 +60,10 @@ struct ClusterSpec {
   // Two-datacenter variant of the prototype cluster (§6's geo-distributed
   // extension): same nodes, split across sites joined by a thin WAN pipe.
   static ClusterSpec geo_two_sites();
+
+  // The presets a CLI flag or plan request may name: "prototype" or
+  // "three_node". Any other name is an error and leaves *out untouched.
+  static Status by_name(const std::string& name, ClusterSpec* out);
 };
 
 class Cluster {

@@ -31,8 +31,4 @@ inline bool fluid_done(double remaining, double rate) {
   return remaining <= kFluidEps || remaining <= rate * kTimeEps;
 }
 
-inline bool approx_eq(SimTime a, SimTime b, double eps = 1e-9) {
-  return std::abs(a - b) <= eps * std::max({1.0, std::abs(a), std::abs(b)});
-}
-
 }  // namespace ds::sim

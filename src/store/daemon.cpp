@@ -59,11 +59,6 @@ std::string error_response(const json::Value* id, const std::string& message) {
   return os.str();
 }
 
-sim::ClusterSpec preset_for(const std::string& name) {
-  if (name == "three_node") return sim::ClusterSpec::three_node();
-  return sim::ClusterSpec::paper_prototype();
-}
-
 }  // namespace
 
 PlanDaemon::PlanDaemon(DaemonOptions options, obs::Observability* obs)
@@ -146,8 +141,11 @@ std::string PlanDaemon::handle_line(const std::string& line, bool* is_error) {
     const dag::JobDag job = dag::load_job_spec_text(spec_field->str_or(""));
 
     sim::ClusterSpec spec = opt_.cluster;
-    if (const json::Value* c = req.find("cluster"); c != nullptr)
-      spec = preset_for(c->str_or(""));
+    if (const json::Value* c = req.find("cluster"); c != nullptr) {
+      if (const Status st = sim::ClusterSpec::by_name(c->str_or(""), &spec);
+          !st.is_ok())
+        return error_response(id, st.message());
+    }
     if (const json::Value* v = req.find("workers"); v != nullptr)
       spec.num_workers = static_cast<int>(v->int_or(spec.num_workers));
     if (const json::Value* v = req.find("executors"); v != nullptr)

@@ -9,10 +9,11 @@
 //   {"cmd": "save"}          → persist the profile store now
 //
 // `spec` is the dag/serialize job-spec text (newlines escaped as \n inside
-// the JSON string). `cluster` names a preset (prototype | three_node);
-// workers/executors/storage_nodes/congestion override individual fields of
-// it, so a client can describe the live cluster it sees. Every other field
-// is optional and defaults to the daemon's configuration.
+// the JSON string). `cluster` names a preset (prototype | three_node; any
+// other name is an error response); workers/executors/storage_nodes/
+// congestion override individual fields of it, so a client can describe the
+// live cluster it sees. Every other field is optional and defaults to the
+// daemon's configuration.
 //
 // Responses echo the request `id` and carry "cache": "hit" | "miss" plus the
 // full plan (core::plan_to_json). A malformed line produces

@@ -52,7 +52,6 @@ std::uint64_t options_digest(const core::CalculatorOptions& options) {
   hash_mix(h, bits_of(options.slot));
   hash_mix(h, options.coarse_to_fine ? 1 : 0);
   hash_mix(h, static_cast<std::uint64_t>(options.coarse_candidates));
-  hash_mix(h, static_cast<std::uint64_t>(options.max_paths));
   hash_mix(h, static_cast<std::uint64_t>(options.sweeps));
   hash_mix(h, options.memoize ? 1 : 0);
   hash_mix(h, bits_of(options.model.quantile));

@@ -51,10 +51,10 @@ struct ReplayOptions : CommonOptions {
   int evaluator_slots = 150;  // target #slots per evaluation
   // Engine validation: additionally run every job's planned schedule through
   // the real discrete-event engine (engine::JobRun) on its dedicated
-  // sub-cluster, fanned out across `engine_shards` worker threads via
-  // sim::ShardedRunner (each job is a fully independent simulated world).
-  // The engine-measured JCT lands in ReplayJobResult::engine_jct. Results
-  // are bit-identical for any shard count, including 1.
+  // sub-cluster, fanned out across a ThreadPool of `engine_shards` workers
+  // (each job is a fully independent simulated world). The engine-measured
+  // JCT lands in ReplayJobResult::engine_jct. Results are bit-identical for
+  // any shard count, including 1.
   bool engine_validate = false;
   int engine_shards = 1;  // <= 0 = hardware concurrency
   // Adaptive replay: jobs are processed *sequentially in arrival order*;
@@ -123,15 +123,5 @@ struct ReplayResult {
 
 ReplayResult replay(const std::vector<TraceJob>& jobs,
                     const ReplayOptions& options);
-
-// Back-compat spelling from before seeds lived in CommonOptions: the trailing
-// seed overrides options.seed. Deprecated for one release (set options.seed
-// and call the CommonOptions-only overload); no in-repo caller remains.
-[[deprecated("set ReplayOptions::seed and call replay(jobs, options)")]]
-inline ReplayResult replay(const std::vector<TraceJob>& jobs,
-                           ReplayOptions options, std::uint64_t seed) {
-  options.seed = seed;
-  return replay(jobs, options);
-}
 
 }  // namespace ds::trace

@@ -77,22 +77,6 @@ double Rng::exponential(double rate) {
 
 bool Rng::chance(double p) { return uniform() < p; }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  DS_CHECK(!weights.empty());
-  double total = 0;
-  for (double w : weights) {
-    DS_CHECK(w >= 0);
-    total += w;
-  }
-  DS_CHECK(total > 0);
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::fork() { return Rng(next_u64()); }
 
 }  // namespace ds

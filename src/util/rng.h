@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace ds {
 
@@ -32,8 +31,6 @@ class Rng {
   double exponential(double rate);
   // Bernoulli trial.
   bool chance(double p);
-  // Pick an index in [0, weights.size()) proportional to weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
   // Derive an independent child generator (stable function of parent state).
   Rng fork();
 

@@ -71,34 +71,6 @@ void TablePrinter::print(std::ostream& os) const {
   for (std::size_t r = 0; r < rendered.size(); ++r) emit(rendered[r], &rows_, r);
 }
 
-CsvWriter::CsvWriter(std::ostream& os) : os_(os) {}
-
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) os_ << ',';
-    const std::string& c = cells[i];
-    if (c.find_first_of(",\"\n") != std::string::npos) {
-      os_ << '"';
-      for (char ch : c) {
-        if (ch == '"') os_ << '"';
-        os_ << ch;
-      }
-      os_ << '"';
-    } else {
-      os_ << c;
-    }
-  }
-  os_ << '\n';
-}
-
-void CsvWriter::write_row(const std::vector<double>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) os_ << ',';
-    os_ << cells[i];
-  }
-  os_ << '\n';
-}
-
 std::string fmt(double v, int digits) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(digits) << v;

@@ -1,6 +1,6 @@
-// Console table / CSV emission used by the bench harness. Every bench binary
+// Console table emission used by the bench harness. Every bench binary
 // prints the rows the paper's table or figure reports; TablePrinter keeps the
-// formatting uniform and CsvWriter makes the series machine-readable.
+// formatting uniform.
 #pragma once
 
 #include <iosfwd>
@@ -32,18 +32,6 @@ class TablePrinter {
   std::vector<std::string> headers_;
   std::vector<std::vector<Cell>> rows_;
   int precision_ = 2;
-};
-
-// Minimal CSV writer (quotes cells containing separators/quotes).
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& os);
-
-  void write_row(const std::vector<std::string>& cells);
-  void write_row(const std::vector<double>& cells);
-
- private:
-  std::ostream& os_;
 };
 
 // Format a double with fixed precision (helper for ad-hoc report lines).

@@ -160,17 +160,6 @@ TEST(CalibratedProfile, FactorsCorrectEachTerm) {
   EXPECT_GT(corrected.solo_time(0), trusted.solo_time(0));
 }
 
-TEST(CalibratedPerfModel, OwnsItsProfile) {
-  const dag::JobDag dag = diamond();
-  CalibrationFactors f;
-  f.compute = 2.0;
-  const CalibratedPerfModel cm(
-      JobProfile::from(dag, sim::ClusterSpec::three_node()), f);
-  EXPECT_DOUBLE_EQ(cm.profile().compute_time_scale, 2.0);
-  EXPECT_DOUBLE_EQ(cm.factors().compute, 2.0);
-  EXPECT_GT(cm.model().solo_time(0), 0);
-}
-
 // ---------- quantile-aware model ----------
 
 TEST(InverseNormalCdf, MatchesKnownQuantiles) {

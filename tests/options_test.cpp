@@ -1,8 +1,7 @@
 // ds::CommonOptions: the one place 0-means-auto thread counts are resolved,
 // plus the back-compat option spellings (inherited threads/seed fields). The
-// legacy trailing-seed overloads are [[deprecated]] and no longer called
-// anywhere in the repo — the tests below pin the CommonOptions-only
-// signatures they collapsed into.
+// seed lives only in the options; the tests below pin the CommonOptions-only
+// signatures of replay() and synthetic_trace().
 #include <gtest/gtest.h>
 
 #include <thread>

@@ -504,6 +504,12 @@ TEST(PlanDaemon, MalformedLinesGetErrorResponsesNotCrashes) {
   EXPECT_NE(daemon.handle_line("{\"cmd\": \"nope\"}", &err).find("error"),
             std::string::npos);
   EXPECT_TRUE(err);
+  // A misspelled preset is an error, not a silent plan for the prototype.
+  std::string typo = plan_request(3, diamond());
+  typo.replace(typo.find("three_node"), 10, "3node");
+  EXPECT_NE(daemon.handle_line(typo, &err).find("\"error\""),
+            std::string::npos);
+  EXPECT_TRUE(err);
 }
 
 TEST(PlanDaemon, ServeKeepsResponseOrderAcrossABatch) {

@@ -96,15 +96,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / kN, 2.0, 0.05);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng r(19);
-  std::vector<double> w{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 20000; ++i) ++counts[r.weighted_index(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.3);
-}
-
 TEST(Rng, ForkIsIndependentAndDeterministic) {
   Rng a(99);
   Rng c1 = a.fork();
@@ -164,13 +155,6 @@ TEST(Table, AlignsAndFormats) {
 TEST(Table, RejectsMisshapenRow) {
   TablePrinter t({"a", "b"});
   EXPECT_THROW(t.add_row({std::string("only one")}), CheckError);
-}
-
-TEST(Csv, QuotesSpecialCells) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.write_row(std::vector<std::string>{"plain", "with,comma", "with\"quote"});
-  EXPECT_EQ(os.str(), "plain,\"with,comma\",\"with\"\"quote\"\n");
 }
 
 }  // namespace
