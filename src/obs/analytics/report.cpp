@@ -1,48 +1,36 @@
 #include "obs/analytics/report.h"
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
+
+#include "util/json.h"
 
 namespace ds::obs::analytics {
 
 namespace {
 
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 void term_json(std::ostream& os, const char* key, const TermDrift& t) {
-  os << '"' << key << "\": {\"predicted_s\": " << num(t.predicted)
-     << ", \"actual_s\": " << num(t.actual)
-     << ", \"residual_s\": " << num(t.residual())
-     << ", \"rel_error\": " << num(t.rel_error) << '}';
+  os << '"' << key
+     << "\": {\"predicted_s\": " << json::number(t.predicted, 10)
+     << ", \"actual_s\": " << json::number(t.actual, 10)
+     << ", \"residual_s\": " << json::number(t.residual(), 10)
+     << ", \"rel_error\": " << json::number(t.rel_error, 10) << '}';
 }
 
 void summary_json(std::ostream& os, const char* key, const DriftSummary& s) {
   os << '"' << key << "\": {\"count\": " << s.count
-     << ", \"mean\": " << num(s.mean) << ", \"p50\": " << num(s.p50)
-     << ", \"p90\": " << num(s.p90) << ", \"max\": " << num(s.max) << '}';
+     << ", \"mean\": " << json::number(s.mean, 10)
+     << ", \"p50\": " << json::number(s.p50, 10)
+     << ", \"p90\": " << json::number(s.p90, 10)
+     << ", \"max\": " << json::number(s.max, 10) << '}';
 }
 
 void timeline_json(std::ostream& os, const char* key,
                    const ResourceTimeline& t) {
-  os << '"' << key << "\": {\"busy_s\": " << num(t.busy_seconds)
-     << ", \"idle_s\": " << num(t.idle_seconds)
-     << ", \"busy_fraction\": " << num(t.busy_fraction)
-     << ", \"idle_fraction\": " << num(t.idle_fraction) << '}';
+  os << '"' << key << "\": {\"busy_s\": " << json::number(t.busy_seconds, 10)
+     << ", \"idle_s\": " << json::number(t.idle_seconds, 10)
+     << ", \"busy_fraction\": " << json::number(t.busy_fraction, 10)
+     << ", \"idle_fraction\": " << json::number(t.idle_fraction, 10) << '}';
 }
 
 void worker_json(std::ostream& os, const WorkerInterleaving& w,
@@ -54,10 +42,13 @@ void worker_json(std::ostream& os, const WorkerInterleaving& w,
   os << ",\n" << indent << "  ";
   timeline_json(os, "disk", w.disk);
   os << ",\n"
-     << indent << "  \"overlap_s\": " << num(w.net_cpu_overlap) << ",\n"
-     << indent << "  \"overlap_fraction\": " << num(w.overlap_fraction)
+     << indent << "  \"overlap_s\": " << json::number(w.net_cpu_overlap, 10)
      << ",\n"
-     << indent << "  \"interleaving_score\": " << num(w.interleaving_score)
+     << indent
+     << "  \"overlap_fraction\": " << json::number(w.overlap_fraction, 10)
+     << ",\n"
+     << indent
+     << "  \"interleaving_score\": " << json::number(w.interleaving_score, 10)
      << "\n" << indent << '}';
 }
 
@@ -66,8 +57,9 @@ void drift_json(std::ostream& os, const DriftReport& d) {
   for (std::size_t i = 0; i < d.stages.size(); ++i) {
     const StageDrift& s = d.stages[i];
     os << (i == 0 ? "" : ",") << "\n      {\"stage\": " << s.stage
-       << ", \"name\": " << quoted(s.name)
-       << ", \"delay_s\": " << num(s.delay) << ",\n       ";
+       << ", \"name\": ";
+    json::write_string(os, s.name);
+    os << ", \"delay_s\": " << json::number(s.delay, 10) << ",\n       ";
     term_json(os, "network", s.network);
     os << ",\n       ";
     term_json(os, "compute", s.compute);
@@ -86,13 +78,15 @@ void drift_json(std::ostream& os, const DriftReport& d) {
   os << ",\n    ";
   summary_json(os, "duration", d.duration);
   os << ",\n    \"warnings\": [";
-  for (std::size_t i = 0; i < d.warnings.size(); ++i)
-    os << (i == 0 ? "" : ", ") << quoted(d.warnings[i]);
+  for (std::size_t i = 0; i < d.warnings.size(); ++i) {
+    os << (i == 0 ? "" : ", ");
+    json::write_string(os, d.warnings[i]);
+  }
   os << "]\n  }";
 }
 
 void interleaving_json(std::ostream& os, const InterleavingReport& r) {
-  os << "{\n    \"horizon_s\": " << num(r.horizon)
+  os << "{\n    \"horizon_s\": " << json::number(r.horizon, 10)
      << ",\n    \"workers\": [";
   for (std::size_t i = 0; i < r.workers.size(); ++i) {
     os << (i == 0 ? "" : ",") << "\n      ";
@@ -105,29 +99,35 @@ void interleaving_json(std::ostream& os, const InterleavingReport& r) {
 
 void fleet_util_json(std::ostream& os, const FleetUtilization& f) {
   os << "\"jobs\": " << f.jobs << ",\n      \"mean_jct_s\": "
-     << num(f.mean_jct_s)
-     << ",\n      \"mean_dedicated_s\": " << num(f.mean_dedicated_s)
-     << ",\n      \"cluster_cpu_pct\": " << num(f.cluster_cpu_pct)
-     << ",\n      \"cluster_net_pct\": " << num(f.cluster_net_pct)
-     << ",\n      \"job_cpu_pct\": " << num(f.job_cpu_pct)
-     << ",\n      \"job_net_pct\": " << num(f.job_net_pct)
-     << ",\n      \"job_cpu_idle_pct\": " << num(f.job_cpu_idle_pct)
-     << ",\n      \"job_net_idle_pct\": " << num(f.job_net_idle_pct)
-     << ",\n      \"job_cpu_p50\": " << num(f.job_cpu_p50)
-     << ",\n      \"job_cpu_p90\": " << num(f.job_cpu_p90)
-     << ",\n      \"job_net_p50\": " << num(f.job_net_p50)
-     << ",\n      \"job_net_p90\": " << num(f.job_net_p90)
-     << ",\n      \"mean_planned_delay_s\": " << num(f.mean_planned_delay_s);
+     << json::number(f.mean_jct_s, 10)
+     << ",\n      \"mean_dedicated_s\": "
+     << json::number(f.mean_dedicated_s, 10)
+     << ",\n      \"cluster_cpu_pct\": " << json::number(f.cluster_cpu_pct, 10)
+     << ",\n      \"cluster_net_pct\": " << json::number(f.cluster_net_pct, 10)
+     << ",\n      \"job_cpu_pct\": " << json::number(f.job_cpu_pct, 10)
+     << ",\n      \"job_net_pct\": " << json::number(f.job_net_pct, 10)
+     << ",\n      \"job_cpu_idle_pct\": "
+     << json::number(f.job_cpu_idle_pct, 10)
+     << ",\n      \"job_net_idle_pct\": "
+     << json::number(f.job_net_idle_pct, 10)
+     << ",\n      \"job_cpu_p50\": " << json::number(f.job_cpu_p50, 10)
+     << ",\n      \"job_cpu_p90\": " << json::number(f.job_cpu_p90, 10)
+     << ",\n      \"job_net_p50\": " << json::number(f.job_net_p50, 10)
+     << ",\n      \"job_net_p90\": " << json::number(f.job_net_p90, 10)
+     << ",\n      \"mean_planned_delay_s\": "
+     << json::number(f.mean_planned_delay_s, 10);
 }
 
 // CSV field orders are part of the pinned schema — keep in sync with the
 // header comments below and the golden test.
 void worker_csv_row(std::ostream& os, const WorkerInterleaving& w) {
-  os << w.pid << ',' << num(w.network.busy_seconds) << ','
-     << num(w.network.idle_fraction) << ',' << num(w.cpu.busy_seconds) << ','
-     << num(w.cpu.idle_fraction) << ',' << num(w.disk.busy_seconds) << ','
-     << num(w.disk.idle_fraction) << ',' << num(w.net_cpu_overlap) << ','
-     << num(w.overlap_fraction) << ',' << num(w.interleaving_score) << '\n';
+  os << w.pid;
+  for (const double v :
+       {w.network.busy_seconds, w.network.idle_fraction, w.cpu.busy_seconds,
+        w.cpu.idle_fraction, w.disk.busy_seconds, w.disk.idle_fraction,
+        w.net_cpu_overlap, w.overlap_fraction, w.interleaving_score})
+    os << ',' << json::number(v, 10);
+  os << '\n';
 }
 
 }  // namespace
@@ -157,11 +157,13 @@ FleetStrategyReport fleet_strategy_report(const std::string& strategy,
 }
 
 void write_json(std::ostream& os, const JobReport& report) {
-  os << "{\n  \"job\": " << quoted(report.job)
-     << ",\n  \"strategy\": " << quoted(report.strategy)
-     << ",\n  \"jct_s\": " << num(report.jct_s)
-     << ",\n  \"predicted_makespan_s\": " << num(report.predicted_makespan_s)
-     << ",\n  \"drift\": ";
+  os << "{\n  \"job\": ";
+  json::write_string(os, report.job);
+  os << ",\n  \"strategy\": ";
+  json::write_string(os, report.strategy);
+  os << ",\n  \"jct_s\": " << json::number(report.jct_s, 10)
+     << ",\n  \"predicted_makespan_s\": "
+     << json::number(report.predicted_makespan_s, 10) << ",\n  \"drift\": ";
   drift_json(os, report.drift);
   os << ",\n  \"interleaving\": ";
   interleaving_json(os, report.interleaving);
@@ -169,22 +171,26 @@ void write_json(std::ostream& os, const JobReport& report) {
 }
 
 void write_json(std::ostream& os, const FleetReport& report) {
-  os << "{\n  \"trace\": " << quoted(report.trace)
-     << ",\n  \"strategies\": [";
+  os << "{\n  \"trace\": ";
+  json::write_string(os, report.trace);
+  os << ",\n  \"strategies\": [";
   for (std::size_t i = 0; i < report.strategies.size(); ++i) {
     const FleetStrategyReport& s = report.strategies[i];
-    os << (i == 0 ? "" : ",") << "\n    {\n      \"strategy\": "
-       << quoted(s.strategy) << ",\n      ";
+    os << (i == 0 ? "" : ",") << "\n    {\n      \"strategy\": ";
+    json::write_string(os, s.strategy);
+    os << ",\n      ";
     fleet_util_json(os, s.util);
     os << ",\n      \"jobs_detail\": [";
     for (std::size_t j = 0; j < s.jobs.size(); ++j) {
       const FleetJobRow& r = s.jobs[j];
-      os << (j == 0 ? "" : ",") << "\n        {\"submit_s\": " << num(r.submit)
-         << ", \"jct_s\": " << num(r.jct)
-         << ", \"dedicated_s\": " << num(r.dedicated)
-         << ", \"cpu_util_pct\": " << num(r.cpu_util_pct)
-         << ", \"net_util_pct\": " << num(r.net_util_pct)
-         << ", \"planned_delay_s\": " << num(r.planned_delay) << '}';
+      os << (j == 0 ? "" : ",")
+         << "\n        {\"submit_s\": " << json::number(r.submit, 10)
+         << ", \"jct_s\": " << json::number(r.jct, 10)
+         << ", \"dedicated_s\": " << json::number(r.dedicated, 10)
+         << ", \"cpu_util_pct\": " << json::number(r.cpu_util_pct, 10)
+         << ", \"net_util_pct\": " << json::number(r.net_util_pct, 10)
+         << ", \"planned_delay_s\": " << json::number(r.planned_delay, 10)
+         << '}';
     }
     os << (s.jobs.empty() ? "" : "\n      ") << "]\n    }";
   }
@@ -205,9 +211,11 @@ void write_csv(std::ostream& os, const JobReport& report) {
                  {"duration", &s.duration}};
     for (const auto& [tname, t] : terms) {
       os << report.job << ',' << report.strategy << ',' << s.stage << ','
-         << s.name << ',' << num(s.delay) << ',' << tname << ','
-         << num(t->predicted) << ',' << num(t->actual) << ','
-         << num(t->residual()) << ',' << num(t->rel_error) << '\n';
+         << s.name << ',' << json::number(s.delay, 10) << ',' << tname;
+      for (const double v :
+           {t->predicted, t->actual, t->residual(), t->rel_error})
+        os << ',' << json::number(v, 10);
+      os << '\n';
     }
   }
   os << "\n# interleaving\n"
@@ -227,13 +235,14 @@ void write_csv(std::ostream& os, const FleetReport& report) {
         "mean_planned_delay_s\n";
   for (const FleetStrategyReport& s : report.strategies) {
     const FleetUtilization& f = s.util;
-    os << s.strategy << ',' << f.jobs << ',' << num(f.mean_jct_s) << ','
-       << num(f.mean_dedicated_s) << ',' << num(f.cluster_cpu_pct) << ','
-       << num(f.cluster_net_pct) << ',' << num(f.job_cpu_pct) << ','
-       << num(f.job_net_pct) << ',' << num(f.job_cpu_idle_pct) << ','
-       << num(f.job_net_idle_pct) << ',' << num(f.job_cpu_p50) << ','
-       << num(f.job_cpu_p90) << ',' << num(f.job_net_p50) << ','
-       << num(f.job_net_p90) << ',' << num(f.mean_planned_delay_s) << '\n';
+    os << s.strategy << ',' << f.jobs;
+    for (const double v :
+         {f.mean_jct_s, f.mean_dedicated_s, f.cluster_cpu_pct,
+          f.cluster_net_pct, f.job_cpu_pct, f.job_net_pct, f.job_cpu_idle_pct,
+          f.job_net_idle_pct, f.job_cpu_p50, f.job_cpu_p90, f.job_net_p50,
+          f.job_net_p90, f.mean_planned_delay_s})
+      os << ',' << json::number(v, 10);
+    os << '\n';
   }
   bool any_jobs = false;
   for (const FleetStrategyReport& s : report.strategies)
@@ -244,9 +253,11 @@ void write_csv(std::ostream& os, const FleetReport& report) {
         "planned_delay_s\n";
   for (const FleetStrategyReport& s : report.strategies) {
     for (const FleetJobRow& r : s.jobs) {
-      os << s.strategy << ',' << num(r.submit) << ',' << num(r.jct) << ','
-         << num(r.dedicated) << ',' << num(r.cpu_util_pct) << ','
-         << num(r.net_util_pct) << ',' << num(r.planned_delay) << '\n';
+      os << s.strategy;
+      for (const double v : {r.submit, r.jct, r.dedicated, r.cpu_util_pct,
+                             r.net_util_pct, r.planned_delay})
+        os << ',' << json::number(v, 10);
+      os << '\n';
     }
   }
 }

@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.h"
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <ostream>
@@ -21,14 +20,8 @@ void crash_hook(const std::string& what) {
     rec->on_anomaly(what.c_str());
 }
 
-std::string fmt_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
 void write_record(std::ostream& os, const FlightRecord& r) {
-  os << "{\"v\": 1, \"seq\": " << r.seq << ", \"t\": " << fmt_number(r.t)
+  os << "{\"v\": 1, \"seq\": " << r.seq << ", \"t\": " << json::number(r.t, 12)
      << ", \"ev\": \"" << to_string(r.kind) << '"';
   if (r.job != 0) os << ", \"job\": " << r.job;
   if (r.stage >= 0) os << ", \"stage\": " << r.stage;
@@ -38,10 +31,11 @@ void write_record(std::ostream& os, const FlightRecord& r) {
     json::write_string(os, r.label);
   }
   if (r.queue_depth >= 0)
-    os << ", \"queue_depth\": " << fmt_number(r.queue_depth);
-  if (r.occupancy >= 0) os << ", \"occupancy\": " << fmt_number(r.occupancy);
-  os << ", \"value\": " << fmt_number(r.value)
-     << ", \"aux\": " << fmt_number(r.aux);
+    os << ", \"queue_depth\": " << json::number(r.queue_depth, 12);
+  if (r.occupancy >= 0)
+    os << ", \"occupancy\": " << json::number(r.occupancy, 12);
+  os << ", \"value\": " << json::number(r.value, 12)
+     << ", \"aux\": " << json::number(r.aux, 12);
   if (r.cache >= 0) os << ", \"cache\": \"" << (r.cache ? "hit" : "miss")
                        << '"';
   os << "}\n";

@@ -1,10 +1,10 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace ds::obs {
 
@@ -70,12 +70,6 @@ struct HistSnapshot {
     return 100.0 * cum / static_cast<double>(total);
   }
 };
-
-std::string fmt_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -194,7 +188,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   first = true;
   for (const auto& [name, cell] : gauges_) {
     os << (first ? "" : ",") << "\n    \"" << name << "\": "
-       << fmt_number(cell->value.load(std::memory_order_relaxed));
+       << json::number(cell->value.load(std::memory_order_relaxed), 10);
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -204,14 +198,15 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     const double sum = cell->sum.load(std::memory_order_relaxed);
     os << (first ? "" : ",") << "\n    \"" << name << "\": {\n"
        << "      \"count\": " << snap.total << ",\n"
-       << "      \"sum\": " << fmt_number(sum) << ",\n"
+       << "      \"sum\": " << json::number(sum, 10) << ",\n"
        << "      \"mean\": "
-       << fmt_number(snap.total > 0 ? sum / static_cast<double>(snap.total) : 0.0)
+       << json::number(
+              snap.total > 0 ? sum / static_cast<double>(snap.total) : 0.0, 10)
        << ",\n      \"buckets\": [";
     for (std::size_t b = 0; b < snap.counts.size(); ++b) {
       os << (b == 0 ? "" : ", ") << "{\"le\": ";
       if (b < cell->bounds.size())
-        os << fmt_number(cell->bounds[b]);
+        os << json::number(cell->bounds[b], 10);
       else
         os << "\"inf\"";
       os << ", \"count\": " << snap.counts[b] << '}';
@@ -223,8 +218,8 @@ void MetricsRegistry::write_json(std::ostream& os) const {
         const double p =
             100.0 * static_cast<double>(i) / static_cast<double>(kPoints - 1);
         os << (i == 0 ? "" : ", ") << "{\"value\": "
-           << fmt_number(snap.percentile(p)) << ", \"cum_percent\": "
-           << fmt_number(p) << '}';
+           << json::number(snap.percentile(p), 10) << ", \"cum_percent\": "
+           << json::number(p, 10) << '}';
       }
     }
     os << "]\n    }";
@@ -287,7 +282,7 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
     const std::string p = prom_name(name);
     os << "# TYPE " << p << " gauge\n"
        << p << ' '
-       << fmt_number(cell->value.load(std::memory_order_relaxed)) << '\n';
+       << json::number(cell->value.load(std::memory_order_relaxed), 10) << '\n';
   }
   for (const auto& [name, cell] : histograms_) {
     const std::string p = prom_name(name);
@@ -298,13 +293,13 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
       cum += snap.counts[b];
       os << p << "_bucket{le=\"";
       if (b < cell->bounds.size())
-        os << fmt_number(cell->bounds[b]);
+        os << json::number(cell->bounds[b], 10);
       else
         os << "+Inf";
       os << "\"} " << cum << '\n';
     }
-    os << p << "_sum " << fmt_number(cell->sum.load(std::memory_order_relaxed))
-       << '\n'
+    os << p << "_sum "
+       << json::number(cell->sum.load(std::memory_order_relaxed), 10) << '\n'
        << p << "_count " << snap.total << '\n';
   }
 }

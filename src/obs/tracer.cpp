@@ -2,44 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <ostream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace ds::obs {
 
 namespace {
 
 std::atomic<std::uint64_t> g_tracer_ids{1};
-
-void write_number(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  os << buf;
-}
-
-void write_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -213,33 +185,25 @@ void Tracer::write_chrome_json(std::ostream& os) const {
        << R"({"ph":"M","name":")" << (m.thread ? "thread_name" : "process_name")
        << R"(","pid":)" << m.pid << R"(,"tid":)" << m.tid
        << R"(,"args":{"name":)";
-    write_string(os, m.name.c_str());
+    json::write_string(os, m.name);
     os << "}}";
     first = false;
   }
   for (const auto& ev : events) {
     os << (first ? "\n" : ",\n") << R"({"ph":")" << ev.phase << R"(","name":)";
-    write_string(os, ev.name);
+    json::write_string(os, ev.name);
     os << R"(,"cat":)";
-    write_string(os, ev.cat[0] != '\0' ? ev.cat : "trace");
-    os << R"(,"ts":)";
-    write_number(os, ev.ts_us);
-    if (ev.phase == 'X') {
-      os << R"(,"dur":)";
-      write_number(os, ev.dur_us);
-    }
+    json::write_string(os, ev.cat[0] != '\0' ? ev.cat : "trace");
+    os << R"(,"ts":)" << json::number(ev.ts_us, 10);
+    if (ev.phase == 'X') os << R"(,"dur":)" << json::number(ev.dur_us, 10);
     if (ev.phase == 'i') os << R"(,"s":"t")";
     os << R"(,"pid":)" << ev.pid << R"(,"tid":)" << ev.tid;
     if (ev.phase == 'C') {
-      os << R"(,"args":{"value":)";
-      write_number(os, ev.arg_value);
-      os << "}";
+      os << R"(,"args":{"value":)" << json::number(ev.arg_value, 10) << "}";
     } else if (ev.arg_name != nullptr) {
       os << R"(,"args":{)";
-      write_string(os, ev.arg_name);
-      os << ':';
-      write_number(os, ev.arg_value);
-      os << '}';
+      json::write_string(os, ev.arg_name);
+      os << ':' << json::number(ev.arg_value, 10) << '}';
     }
     os << '}';
     first = false;

@@ -74,4 +74,8 @@ Status parse(std::string_view text, Value* out);
 // this repo needs to get right.
 void write_string(std::ostream& os, std::string_view s);
 
+// `v` as a JSON number with `digits` significant digits (printf's %.*g) —
+// the scalar counterpart of write_string for the same writers.
+std::string number(double v, int digits);
+
 }  // namespace ds::json

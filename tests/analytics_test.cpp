@@ -19,6 +19,7 @@
 #include "sim/cluster.h"
 #include "trace/replay.h"
 #include "trace/synthetic.h"
+#include "util/json.h"
 #include "workloads/workloads.h"
 
 namespace ds {
@@ -398,6 +399,25 @@ TEST(ReportSchema, FleetJsonHasPinnedKeysAndBalancedBraces) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   expect_balanced(json);
+}
+
+TEST(ReportSchema, ControlCharactersInNamesStayValidJson) {
+  obs::analytics::JobReport job = tiny_report();
+  job.drift.stages[0].name = "map\tA";
+  obs::analytics::FleetReport fleet;
+  fleet.trace = "batch\ttask";
+
+  std::ostringstream job_os, fleet_os;
+  obs::analytics::write_json(job_os, job);
+  obs::analytics::write_json(fleet_os, fleet);
+  json::Value job_json, fleet_json;
+  const Status job_st = json::parse(job_os.str(), &job_json);
+  const Status fleet_st = json::parse(fleet_os.str(), &fleet_json);
+  ASSERT_TRUE(job_st.is_ok()) << job_st.message();
+  ASSERT_TRUE(fleet_st.is_ok()) << fleet_st.message();
+  const json::Value& stage = job_json.find("drift")->find("stages")->array()[0];
+  EXPECT_EQ(stage.find("name")->str_or(""), "map\tA");
+  EXPECT_EQ(fleet_json.find("trace")->str_or(""), "batch\ttask");
 }
 
 TEST(ReportSchema, CsvSectionsAndHeaders) {

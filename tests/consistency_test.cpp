@@ -66,7 +66,7 @@ TEST_P(ModelEngineConsistency, StockPredictionWithinTolerance) {
   const double model = core::ScheduleEvaluator(p).evaluate({}).jct;
   const double engine = engine_jct(j, {}, 42);
   // Uncalibrated random jobs: the model must stay in the right ballpark
-  // (the calibrated workloads are held to ~10%, see bench_model_accuracy).
+  // (the calibrated workloads are held to ~10%, see `bench_paper a2`).
   EXPECT_GT(engine, 0);
   EXPECT_LT(std::abs(model - engine) / engine, 0.45)
       << "model " << model << " engine " << engine;
