@@ -7,8 +7,17 @@
 // both an absolute throughput floor on the off mode and overhead ceilings
 // (<3%) on the instrumented modes.
 //
+// Overheads are paired: each of kRounds rounds runs every workload under
+// `off` and every instrumented mode back to back (one pair per workload and
+// round), and a mode's overhead is the median over pairs of its thread-CPU
+// time relative to the same pair's `off` run, so machine drift cancels
+// inside each pair. The off-mode floor is wall clock (the fastest round's
+// whole suite).
+//
 //   ./bench_obs_overhead [output.json]
+#include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -28,11 +37,24 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// CPU seconds consumed by the calling thread (the whole engine run).
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 struct Mode {
   std::string name;
-  double seconds_per_rep = 0;  // min over reps: one rep = the whole suite
+  double seconds_per_rep = 0;  // fastest round's wall time for the suite
   double runs_per_sec = 0;
-  double overhead_pct = 0;  // vs the off mode
+  double overhead_pct = 0;  // median paired CPU-time overhead vs off
 };
 
 }  // namespace
@@ -41,7 +63,7 @@ int main(int argc, char** argv) {
   using namespace ds;
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_obs.json";
   constexpr std::uint64_t kSeed = 42;
-  constexpr int kReps = 7;
+  constexpr int kRounds = 10;
 
   const auto suite = workloads::benchmark_suite();
   const sim::ClusterSpec spec = sim::ClusterSpec::paper_prototype();
@@ -55,7 +77,7 @@ int main(int argc, char** argv) {
     plans.push_back(sched::make_strategy("DelayStage")->plan(w.dag, cluster));
   }
 
-  // One sink per instrumented mode, reused across reps so the steady state
+  // One sink per instrumented mode, reused across rounds so the steady state
   // (warm rings, resolved cells, interned labels) is what gets timed.
   obs::TracerOptions full_topt;
   full_topt.enabled = true;
@@ -74,47 +96,55 @@ int main(int argc, char** argv) {
   obs::TelemetrySink* telem[] = {nullptr, nullptr, nullptr, &telemetry_sink,
                                  nullptr};
 
-  auto run_suite = [&](obs::Observability* obs, obs::TelemetrySink* sink) {
-    Seconds jct_sum = 0;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-      sim::Simulator sim(obs);
-      sim::Cluster cluster(sim, spec, kSeed, obs);
-      engine::RunOptions opt;
-      opt.plan = plans[i];
-      opt.seed = kSeed;
-      opt.obs = obs;
-      opt.flight_job_id = i + 1;
-      engine::JobRun run(cluster, suite[i].dag, opt);
-      run.start();
-      sim.run();
-      DS_CHECK(run.finished() && !run.result().failed);
-      jct_sum += run.result().jct;
-      if (sink != nullptr) sink->snapshot(*obs, sim.now());
-    }
-    return jct_sum;
+  auto run_job = [&](std::size_t i, obs::Observability* obs,
+                     obs::TelemetrySink* sink) {
+    sim::Simulator sim(obs);
+    sim::Cluster cluster(sim, spec, kSeed, obs);
+    engine::RunOptions opt;
+    opt.plan = plans[i];
+    opt.seed = kSeed;
+    opt.obs = obs;
+    opt.flight_job_id = i + 1;
+    engine::JobRun run(cluster, suite[i].dag, opt);
+    run.start();
+    sim.run();
+    DS_CHECK(run.finished() && !run.result().failed);
+    if (sink != nullptr) sink->snapshot(*obs, sim.now());
+    return run.result().jct;
   };
 
-  // Interleave the modes across reps so drift (thermal, scheduler) spreads
-  // evenly instead of biasing whichever mode runs last; min-of-reps then
-  // discards the noise. The simulated JCTs must not depend on the mode —
-  // observability is passive by contract.
+  // Each pair starts at a different mode (rotating by round and workload),
+  // so every mode runs in every position equally often. The simulated JCTs
+  // must not depend on the mode — observability is passive by contract.
   std::vector<double> best(modes.size(), 1e300);
-  double reference_jct = -1;
-  for (int rep = 0; rep < kReps; ++rep) {
-    telemetry_out.str("");  // discard last rep's snapshots, keep buffer warm
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-      const auto t0 = Clock::now();
-      const Seconds jct = run_suite(sinks[m], telem[m]);
-      const double s = std::chrono::duration<double>(Clock::now() - t0).count();
-      best[m] = std::min(best[m], s);
-      if (reference_jct < 0) reference_jct = jct;
-      DS_CHECK_MSG(jct == reference_jct, "simulation result depends on obs mode");
+  std::vector<std::vector<double>> paired(modes.size());
+  std::vector<double> reference_jct(suite.size(), -1);
+  for (int round = 0; round < kRounds; ++round) {
+    telemetry_out.str("");  // discard last round's snapshots, keep buffer warm
+    std::vector<double> wall(modes.size(), 0);
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      std::vector<double> cpu(modes.size());
+      for (std::size_t k = 0; k < modes.size(); ++k) {
+        const std::size_t m = (round + i + k) % modes.size();
+        const auto t0 = Clock::now();
+        const double c0 = thread_cpu_s();
+        const Seconds jct = run_job(i, sinks[m], telem[m]);
+        cpu[m] = thread_cpu_s() - c0;
+        wall[m] += std::chrono::duration<double>(Clock::now() - t0).count();
+        if (reference_jct[i] < 0) reference_jct[i] = jct;
+        DS_CHECK_MSG(jct == reference_jct[i],
+                     "simulation result depends on obs mode");
+      }
+      for (std::size_t m = 1; m < modes.size(); ++m)
+        paired[m].push_back(100.0 * (cpu[m] - cpu[0]) / cpu[0]);
     }
+    for (std::size_t m = 0; m < modes.size(); ++m)
+      best[m] = std::min(best[m], wall[m]);
   }
   for (std::size_t m = 0; m < modes.size(); ++m) {
     modes[m].seconds_per_rep = best[m];
     modes[m].runs_per_sec = static_cast<double>(suite.size()) / best[m];
-    modes[m].overhead_pct = 100.0 * (best[m] - best[0]) / best[0];
+    if (m > 0) modes[m].overhead_pct = median(paired[m]);
   }
 
   TablePrinter t({"mode", "ms/suite", "runs/s", "overhead %"});

@@ -21,6 +21,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/adaptive.h"
+#include "core/delay_calculator.h"
 #include "core/evaluator.h"
 #include "core/profile.h"
 #include "engine/job_run.h"
@@ -35,6 +37,7 @@
 #include "trace/replay.h"
 #include "trace/stats.h"
 #include "trace/synthetic.h"
+#include "util/check.h"
 #include "util/table.h"
 #include "util/units.h"
 #include "workloads/workloads.h"
@@ -49,15 +52,16 @@ struct BenchRun {
   metrics::TimeSeries worker_net;   // MB/s received
   metrics::Summary cpu_summary;     // over [0, jct]
   metrics::Summary net_summary;
-  std::vector<metrics::TimeSeries> occupancy;  // per stage, if requested
+  std::vector<metrics::TimeSeries> occupancy;  // executors held, per stage
   engine::SubmissionPlan plan;
 };
 
 // Runs one workload under one strategy. `opt` carries the engine options
-// (locality wait, speculation, occupancy recording, an Observability to
-// capture task spans for span-based interleaving analytics); the plan and
-// the seed are filled in here. The obs layer and the utilization sampler
-// are passive, so results are bit-identical with or without them.
+// (locality wait, speculation, an Observability to capture task spans for
+// span-based interleaving analytics); the plan and the seed are filled in
+// here. The obs layer and the utilization sampler (which also tracks each
+// stage's executors) are passive, so results are bit-identical with or
+// without them.
 BenchRun run_workload(const dag::JobDag& dag, const sim::ClusterSpec& spec,
                       const std::string& strategy_name, std::uint64_t seed,
                       engine::RunOptions opt = {}) {
@@ -66,9 +70,11 @@ BenchRun run_workload(const dag::JobDag& dag, const sim::ClusterSpec& spec,
   opt.plan = sched::make_strategy(strategy_name)->plan(dag, cluster);
   opt.seed = seed;
 
-  metrics::UtilizationSampler sampler(cluster, 1.0);
-  sampler.start();
   engine::JobRun run(cluster, dag, opt);
+  metrics::UtilizationSampler sampler(cluster);
+  for (dag::StageId s = 0; s < dag.num_stages(); ++s)
+    sampler.track([&run, s] { return static_cast<double>(run.slots_held(s)); });
+  sampler.start();
   run.start();
   // The sampler keeps the event queue alive; step until the job completes,
   // then stop sampling and drain.
@@ -86,10 +92,8 @@ BenchRun run_workload(const dag::JobDag& dag, const sim::ClusterSpec& spec,
   out.cpu_summary = wu.cpu_summary;
   out.net_summary = wu.net_summary;
   out.plan = opt.plan;
-  if (opt.record_occupancy) {
-    for (dag::StageId s = 0; s < dag.num_stages(); ++s)
-      out.occupancy.push_back(run.occupancy(s));
-  }
+  for (dag::StageId s = 0; s < dag.num_stages(); ++s)
+    out.occupancy.push_back(sampler.tracked(static_cast<std::size_t>(s)));
   return out;
 }
 
@@ -528,7 +532,6 @@ void fig13() {
   for (const char* strategy : {"Spark", "DelayStage"}) {
     obs::Observability obs = make_bench_obs();
     engine::RunOptions opt;
-    opt.record_occupancy = true;
     opt.obs = &obs;
     const BenchRun run = run_workload(dag, spec, strategy, 42, opt);
 
@@ -1037,6 +1040,145 @@ void faults() {
   for (const auto& line : json_lines) std::cout << line << "\n";
 }
 
+// Ablation — the drift-closed adaptive loop (DESIGN.md §11) against the
+// static planner on a drift-sensitive workload. Three scenarios, three
+// planning modes each:
+//
+//   perturbed   the planner's believed profile overstates both network
+//               terms 3× (a ≥30% coefficient error); the engine runs the
+//               truth. Recurrent submissions let the calibrator learn the
+//               lie back out.
+//   faults      the profile is accurate but a worker crashes permanently
+//               early in every run; the crash snapshot triggers a
+//               frozen-prefix replan on the shrunk cluster.
+//   accurate    profile matches the cluster, nothing crashes. This row is
+//               the identity contract: first-sight calibration is identity
+//               and an armed replanner never applies, so both adaptive
+//               modes must be bit-identical to static with zero replans.
+//
+//   static             plan once on the believed profile, reuse verbatim
+//   calibrated         AdaptivePlanner plan/observe loop, replanning off
+//   calibrated_replan  same loop with the default ReplanPolicy armed
+//
+// All times are simulated, so the golden pins exact model outcomes.
+void adaptive() {
+  // Three parallel branches with sharply mixed resource profiles: the
+  // DelayStage stagger between the net-heavy fetch and the cpu-heavy branch
+  // is exactly the decision that drifted coefficients and lost workers
+  // invalidate, so this shape separates the planning modes.
+  const auto mk = [](const char* name, Bytes in, BytesPerSec rate, Bytes out) {
+    dag::Stage s;
+    s.name = name;
+    s.num_tasks = 6;
+    s.input_bytes = in;
+    s.process_rate = rate;
+    s.output_bytes = out;
+    s.task_skew = 0.2;
+    return s;
+  };
+  dag::JobDag dag("fan");
+  dag.add_stage(mk("src", 600_MB, 60_MBps, 1.2_GB));
+  dag.add_stage(mk("net-heavy", 1.2_GB, 60_MBps, 100_MB));
+  dag.add_stage(mk("cpu-heavy", 300_MB, 3_MBps, 100_MB));
+  dag.add_stage(mk("mid", 600_MB, 12_MBps, 100_MB));
+  dag.add_stage(mk("join", 300_MB, 30_MBps, 0));
+  dag.add_edge(0, 1);
+  dag.add_edge(0, 2);
+  dag.add_edge(0, 3);
+  dag.add_edge(1, 4);
+  dag.add_edge(2, 4);
+  dag.add_edge(3, 4);
+  const auto spec = sim::ClusterSpec::three_node();
+
+  // One run of `dag` on a fresh three-node cluster; `crash` takes worker 1
+  // down for good at t = 5 s.
+  const auto run_once = [&](engine::RunOptions opt, bool crash) {
+    sim::Simulator sim;
+    sim::Cluster cluster(sim, spec, 7);
+    sim::FaultPlan fp;
+    std::unique_ptr<sim::FaultInjector> inj;
+    if (crash) {
+      fp.crashes.push_back({cluster.worker(1), 5.0, -1});
+      inj = std::make_unique<sim::FaultInjector>(cluster, fp, opt.seed);
+      opt.faults = inj.get();
+      inj->start();
+    }
+    engine::JobRun run(cluster, dag, std::move(opt));
+    run.start();
+    sim.run();
+    const engine::JobResult& r = run.result();
+    DS_CHECK_MSG(r.complete(), "bench job failed: " + r.failure_reason);
+    return r;
+  };
+
+  struct Scenario {
+    const char* name;
+    bool lie;          // planner believes a 3× faster network
+    bool crash;        // one permanent worker crash early in every run
+    int recurrences;   // accurate runs once: it measures the identity contract
+  };
+  const Scenario scenarios[] = {
+      {"perturbed", /*lie=*/true, /*crash=*/false, /*recurrences=*/6},
+      {"faults", /*lie=*/false, /*crash=*/true, /*recurrences=*/6},
+      {"accurate", /*lie=*/false, /*crash=*/false, /*recurrences=*/1},
+  };
+
+  std::cout << "=== Adaptive planning ablation (fan workload) ===\n";
+  TablePrinter t({"scenario", "mode", "runs", "mean JCT (s)", "gain vs static %",
+                  "replans"});
+  t.set_precision(2);
+  for (const Scenario& sc : scenarios) {
+    core::JobProfile believed = core::JobProfile::from(dag, spec);
+    if (sc.lie) {
+      believed.cluster.nic_bw *= 3.0;
+      believed.cluster.storage_net_bw *= 3.0;
+    }
+    double static_jct = 0;
+    for (const char* mode : {"static", "calibrated", "calibrated_replan"}) {
+      const std::string_view m = mode;
+      double sum = 0;
+      int replans = 0;
+      if (m == "static") {
+        const core::DelaySchedule plan =
+            core::DelayCalculator(believed).compute();
+        for (int r = 0; r < sc.recurrences; ++r) {
+          engine::RunOptions opt;
+          opt.seed = 100 + r;
+          opt.plan.delay = plan.delay;
+          sum += run_once(std::move(opt), sc.crash).jct;
+        }
+      } else {
+        core::AdaptiveOptions aopt;
+        aopt.replan.enabled = m == "calibrated_replan";
+        core::AdaptivePlanner planner(believed, aopt);
+        for (int r = 0; r < sc.recurrences; ++r) {
+          planner.plan();
+          engine::RunOptions opt;
+          opt.seed = 100 + r;
+          planner.arm(opt);
+          const engine::JobResult res = run_once(std::move(opt), sc.crash);
+          sum += res.jct;
+          replans += res.replans;
+          planner.observe(res);
+        }
+      }
+      const double mean_jct = sum / sc.recurrences;
+      if (m == "static") static_jct = mean_jct;
+      const double gain_pct = 100.0 * (static_jct - mean_jct) / static_jct;
+      // The identity contract is part of the entry's own output validity.
+      if (std::string_view(sc.name) == "accurate") {
+        DS_CHECK_MSG(gain_pct == 0.0,
+                     "accurate-profile run diverged from the static plan");
+        DS_CHECK_MSG(replans == 0, "accurate-profile run applied a replan");
+      }
+      t.add_row({sc.name, mode, static_cast<std::int64_t>(sc.recurrences),
+                 mean_jct, gain_pct, static_cast<std::int64_t>(replans)});
+    }
+  }
+  t.print(std::cout);
+  std::cout << '\n';
+}
+
 // The paper's §6 future-work scenario — the prototype cluster split across
 // two datacenters joined by a thin WAN link. Shuffle traffic between sites
 // funnels through the WAN, so stage scheduling matters even more.
@@ -1096,6 +1238,7 @@ const Entry kEntries[] = {
     {"speculation", "ablation: speculation x DelayStage, slow machines",
      speculation},
     {"faults", "ablation: node-crash rate x strategy", faults},
+    {"adaptive", "ablation: adaptive planning under model drift", adaptive},
     {"geo", "Sec. 6: prototype cluster split over two sites", geo},
 };
 

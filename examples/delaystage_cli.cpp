@@ -35,8 +35,8 @@
 //                          [--perturb-compute F] [--report-out FILE]
 //
 // Daemon mode: `serve` reads newline-delimited JSON plan requests on stdin
-// and answers one JSON object per line on stdout (see store/daemon.h for the
-// request schema). Responses carry "cache": "hit" | "miss". --store names
+// and answers one JSON object per line on stdout (see service/ndjson.h for
+// the request schema). Responses carry "cache": "hit" | "miss". --store names
 // the persistent profile store (loaded at startup, saved at EOF and on
 // {"cmd":"save"}); --batch bounds how many requests are planned concurrently
 // per dispatch round.
@@ -136,11 +136,11 @@
 #include "obs/analytics/report.h"
 #include "sched/strategy.h"
 #include "service/arrivals.h"
+#include "service/daemon.h"
 #include "service/ndjson.h"
 #include "service/scheduler.h"
 #include "sim/cluster.h"
 #include "sim/faults.h"
-#include "store/daemon.h"
 #include "trace/alibaba.h"
 #include "trace/replay.h"
 #include "trace/stats.h"
@@ -342,7 +342,7 @@ int cmd_run(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
   if (!faults.empty()) opt.faults = &injector;
   engine::JobRun run(cluster, job, opt);
   obs::Tracer* const tr = obs::tracer(sink.get());
-  metrics::UtilizationSampler sampler(cluster, 1.0);
+  metrics::UtilizationSampler sampler(cluster);
   if (tr != nullptr) sampler.start();
   if (!faults.empty()) injector.start();
   run.start();
@@ -485,7 +485,7 @@ int cmd_report(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
 int cmd_serve(int argc, char** argv, const ds::sim::ClusterSpec& spec,
               const ds::cli::CommonFlags& cf, ds::cli::ObsSink& sink) {
   using namespace ds;
-  store::DaemonOptions dopt;
+  service::DaemonOptions dopt;
   dopt.cluster = spec;
   dopt.threads = cf.threads;
   dopt.batch =
@@ -503,11 +503,11 @@ int cmd_serve(int argc, char** argv, const ds::sim::ClusterSpec& spec,
   if (const Status st = core::validate(dopt.service.calculator); !st.is_ok())
     throw std::runtime_error(st.message());
 
-  store::PlanDaemon daemon(dopt, sink.get());
+  service::PlanDaemon daemon(dopt, sink.get());
   if (!dopt.service.store_path.empty() && !daemon.service().load_info().missing)
     std::cerr << "# profile store: " << daemon.service().load_info().records
               << " workload(s) loaded from " << dopt.service.store_path << '\n';
-  const store::DaemonStats st = daemon.serve(std::cin, std::cout);
+  const service::DaemonStats st = daemon.serve(std::cin, std::cout);
   if (const Status s = daemon.service().save(); !s.is_ok())
     std::cerr << "warning: " << s.message() << '\n';
   const store::PlanCache& cache = daemon.service().cache();
@@ -578,11 +578,13 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
     Seconds prev = 0;  // absent arrivals ride with the previous job's
     while (std::getline(*in, line)) {
       if (line.empty()) continue;
-      service::SchedRequest req;
-      if (const Status st = service::parse_sched_request(line, &req);
-          !st.is_ok())
+      service::Request req;
+      if (const Status st = service::parse_request(line, &req); !st.is_ok())
         throw std::runtime_error(st.message());
-      if (req.kind == service::SchedRequest::Kind::kStats) {
+      if (req.kind == service::Request::Kind::kSave)
+        throw std::runtime_error(
+            "cmd \"save\" is a serve command (sched --jobs-in takes stats)");
+      if (req.kind == service::Request::Kind::kStats) {
         // Answer in stream order: advance past the preceding submissions'
         // arrival time, then emit one live state line.
         sched.run_until(prev);

@@ -147,19 +147,4 @@ void plan_to_json(const DelaySchedule& plan, std::ostream& out) {
       << ", \"memo_hits\": " << plan.memo_hits << "}";
 }
 
-Status check_ndjson_version(const json::Value& request) {
-  const json::Value* v = request.find("v");
-  if (v == nullptr) return Status::ok();  // absent = version 1
-  if (!v->is_number())
-    return Status::error("\"v\" must be a number (protocol version)");
-  const auto version = v->int_or(-1);
-  if (version != kNdjsonProtocolVersion) {
-    std::ostringstream os;
-    os << "unsupported protocol version " << version << " (this server speaks v"
-       << kNdjsonProtocolVersion << ")";
-    return Status::error(os.str());
-  }
-  return Status::ok();
-}
-
 }  // namespace ds::core

@@ -26,7 +26,6 @@
 #include <string>
 
 #include "core/delay_calculator.h"
-#include "util/json.h"
 #include "util/status.h"
 
 namespace ds::core {
@@ -43,33 +42,5 @@ Status load_plan_text(const std::string& text, DelaySchedule* out);
 // The same schedule as a JSON object (delays, timeline, makespan/JCT,
 // search counters) — what `delaystage_cli serve` embeds in its responses.
 void plan_to_json(const DelaySchedule& plan, std::ostream& out);
-
-// --- NDJSON request protocol (version 1) ------------------------------------
-//
-// `delaystage_cli serve` and `delaystage_cli sched --jobs-in` both consume
-// newline-delimited JSON requests, one object per line. Every request MAY
-// carry a "v" version field:
-//   * absent          → treated as version 1 (the first shipped protocol)
-//   * "v": 1          → version 1
-//   * anything else   → the request is rejected with a ds::Status error,
-//     surfaced as an {"v": 1, "id": …, "error": "…"} response line; the
-//     stream keeps going (one bad request never kills the server).
-// Unknown fields are ignored (forward tolerance): clients may attach extra
-// metadata without breaking older servers. Every response line carries
-// "v": 1.
-//
-// serve — plan requests (store/daemon.cpp):
-//   {"v": 1, "id": …, "spec": "<job-spec text>", "cluster": "three_node",
-//    "workers": N, "executors": N, "storage_nodes": N, "congestion": β,
-//    "quantile": q}
-//   {"v": 1, "id": …, "cmd": "stats" | "save"}
-// sched — job submissions (service/ndjson.h):
-//   {"v": 1, "workload": "lda" | "spec": "<job-spec text>", "scale": 1.0,
-//    "arrival": 12.5, "priority": 0}
-inline constexpr int kNdjsonProtocolVersion = 1;
-
-// Validates a parsed request's "v" field against kNdjsonProtocolVersion
-// (absent = version 1, non-numeric or unsupported = error).
-Status check_ndjson_version(const json::Value& request);
 
 }  // namespace ds::core

@@ -61,7 +61,6 @@ JobRun::JobRun(sim::Cluster& cluster, const dag::JobDag& dag, RunOptions opt)
   st_.resize(n);
   result_.stages.resize(n);
   task_base_.resize(n);
-  occupancy_.resize(n);
   int total_tasks = 0;
   for (dag::StageId s = 0; s < dag_.num_stages(); ++s) {
     const dag::Stage& spec = dag_.stage(s);
@@ -140,7 +139,6 @@ JobRun::JobRun(sim::Cluster& cluster, const dag::JobDag& dag, RunOptions opt)
 }
 
 JobRun::~JobRun() {
-  if (occupancy_event_ != sim::kInvalidEvent) cluster_.sim().cancel(occupancy_event_);
   if (opt_.faults != nullptr) opt_.faults->unsubscribe(fault_sub_);
 }
 
@@ -152,7 +150,6 @@ void JobRun::start() {
                 static_cast<double>(dag_.num_stages()),
                 static_cast<double>(result_.tasks.size()));
   for (dag::StageId s : dag_.sources()) on_ready(s);
-  if (opt_.record_occupancy) sample_occupancy();
 }
 
 void JobRun::flight_record(obs::FlightKind kind, dag::StageId s, double value,
@@ -172,11 +169,6 @@ void JobRun::flight_record(obs::FlightKind kind, dag::StageId s, double value,
 const JobResult& JobRun::result() const {
   DS_CHECK_MSG(result_.finished(), "job has not finished");
   return result_;
-}
-
-const metrics::TimeSeries& JobRun::occupancy(dag::StageId s) const {
-  DS_CHECK_MSG(opt_.record_occupancy, "occupancy recording was not enabled");
-  return occupancy_.at(static_cast<std::size_t>(s));
 }
 
 TaskRecord& JobRun::task(dag::StageId s, int t) {
@@ -904,10 +896,6 @@ void JobRun::fail_job(const std::string& reason) {
       }
     }
   }
-  if (occupancy_event_ != sim::kInvalidEvent) {
-    cluster_.sim().cancel(occupancy_event_);
-    occupancy_event_ = sim::kInvalidEvent;
-  }
   notify_finished();
 }
 
@@ -962,24 +950,8 @@ void JobRun::finish_stage(dag::StageId s) {
   DS_CHECK(stages_remaining_ > 0);
   if (--stages_remaining_ == 0) {
     result_.jct = cluster_.sim().now();
-    if (occupancy_event_ != sim::kInvalidEvent) {
-      cluster_.sim().cancel(occupancy_event_);
-      occupancy_event_ = sim::kInvalidEvent;
-    }
     notify_finished();
   }
-}
-
-void JobRun::sample_occupancy() {
-  const Seconds now = cluster_.sim().now();
-  for (dag::StageId s = 0; s < dag_.num_stages(); ++s) {
-    occupancy_[static_cast<std::size_t>(s)].push(
-        now, static_cast<double>(st(s).slots_held));
-  }
-  occupancy_event_ = cluster_.sim().schedule_after(opt_.occupancy_dt, [this] {
-    occupancy_event_ = sim::kInvalidEvent;
-    sample_occupancy();
-  });
 }
 
 }  // namespace ds::engine

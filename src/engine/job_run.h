@@ -59,7 +59,6 @@
 #include "engine/plan.h"
 #include "engine/records.h"
 #include "engine/replan.h"
-#include "metrics/timeseries.h"
 #include "obs/obs.h"
 #include "sim/cluster.h"
 #include "sim/faults.h"
@@ -72,9 +71,6 @@ namespace ds::engine {
 // `threads` is ignored — the engine is single-threaded by design.
 struct RunOptions : CommonOptions {
   SubmissionPlan plan;
-  // Record per-stage executor occupancy (Fig. 13).
-  bool record_occupancy = false;
-  Seconds occupancy_dt = 1.0;
   // Fault injection, task domain: each attempt independently aborts
   // mid-compute with this probability (must be in [0, 1)) and is retried
   // Spark-style (slot released, re-queued, input re-fetched). A task whose
@@ -145,8 +141,11 @@ class JobRun {
   bool finished() const { return result_.finished(); }
   // Valid once finished().
   const JobResult& result() const;
-  // Executor slots held by stage `s` over time (record_occupancy only).
-  const metrics::TimeSeries& occupancy(dag::StageId s) const;
+  // Executor slots stage `s` holds right now (Fig. 13's occupancy, sampled
+  // by metrics::UtilizationSampler::track).
+  int slots_held(dag::StageId s) const {
+    return st_[static_cast<std::size_t>(s)].slots_held;
+  }
   // Number of speculative copies launched (speculation only).
   int speculative_attempts() const { return speculative_attempts_; }
 
@@ -211,7 +210,7 @@ class JobRun {
     std::vector<Seconds> success_span;       // winning attempt's span
     std::vector<std::array<Attempt, 2>> attempts;
     std::vector<Seconds> finished_durations;  // attempt spans, for speculation
-    int slots_held = 0;                      // for occupancy sampling
+    int slots_held = 0;                      // see JobRun::slots_held
   };
 
   static std::uint64_t push_key(int task, sim::NodeId src);
@@ -240,7 +239,6 @@ class JobRun {
   // AggShuffle: push `bytes` of freshly-written map output of `parent` from
   // `src` toward each child's pre-assigned reduce nodes.
   void push_map_output(dag::StageId parent, sim::NodeId src, Bytes bytes);
-  void sample_occupancy();
 
   // --- failure-domain recovery ---
   // Every parent's data is materialized (no lost/unfinished tasks upstream).
@@ -302,8 +300,6 @@ class JobRun {
   bool finish_notified_ = false;
   int speculative_attempts_ = 0;
   Seconds last_replan_attempt_ = -1;  // cooldown anchor (sim time)
-  std::vector<metrics::TimeSeries> occupancy_;
-  sim::EventId occupancy_event_ = sim::kInvalidEvent;
   sim::FaultInjector::SubscriptionId fault_sub_ = 0;
 
   // Append one audit record (no-op when the recorder is off). Fills t, job

@@ -1,13 +1,14 @@
 #include "metrics/sampler.h"
 
+#include <utility>
+
 #include "util/check.h"
 #include "util/units.h"
 
 namespace ds::metrics {
 
-UtilizationSampler::UtilizationSampler(sim::Cluster& cluster, Seconds dt)
-    : cluster_(cluster), dt_(dt) {
-  DS_CHECK(dt > 0);
+UtilizationSampler::UtilizationSampler(sim::Cluster& cluster)
+    : cluster_(cluster) {
   cpu_.resize(static_cast<std::size_t>(cluster.num_workers()));
   net_.resize(static_cast<std::size_t>(cluster.num_workers()));
 }
@@ -24,6 +25,16 @@ void UtilizationSampler::stop() {
     cluster_.sim().cancel(pending_);
     pending_ = sim::kInvalidEvent;
   }
+}
+
+std::size_t UtilizationSampler::track(std::function<double()> probe) {
+  probes_.push_back(std::move(probe));
+  tracked_.emplace_back();
+  return tracked_.size() - 1;
+}
+
+const TimeSeries& UtilizationSampler::tracked(std::size_t index) const {
+  return tracked_.at(index);
 }
 
 const TimeSeries& UtilizationSampler::cpu_util(sim::NodeId worker) const {
@@ -55,7 +66,9 @@ void UtilizationSampler::sample() {
   const auto nw = static_cast<double>(cluster_.num_workers());
   cluster_cpu_.push(now, cpu_sum / nw);
   cluster_net_.push(now, net_sum / nw);
-  pending_ = cluster_.sim().schedule_after(dt_, [this] {
+  for (std::size_t i = 0; i < probes_.size(); ++i)
+    tracked_[i].push(now, probes_[i]());
+  pending_ = cluster_.sim().schedule_after(kPeriod, [this] {
     pending_ = sim::kInvalidEvent;
     sample();
   });

@@ -63,11 +63,9 @@ const char* to_string(FlightKind kind) {
 }
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions opt)
-    : opt_(std::move(opt)) {
-  if (opt_.enabled) {
-    DS_CHECK_MSG(opt_.capacity > 0, "flight recorder needs capacity >= 1");
-    ring_.resize(opt_.capacity);
-  }
+    : opt_(std::move(opt)), events_(opt_.enabled ? opt_.capacity : 0) {
+  DS_CHECK_MSG(!opt_.enabled || opt_.capacity > 0,
+               "flight recorder needs capacity >= 1");
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -78,49 +76,8 @@ FlightRecorder::~FlightRecorder() {
 
 void FlightRecorder::record(FlightRecord r) {
   if (!opt_.enabled) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  r.seq = head_;
   if (r.label == nullptr) r.label = "";
-  ring_[static_cast<std::size_t>(head_ % ring_.size())] = r;
-  ++head_;
-}
-
-const char* FlightRecorder::intern(const std::string& s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = intern_index_.find(s);
-  if (it != intern_index_.end()) return it->second;
-  interned_.push_back(s);
-  const char* p = interned_.back().c_str();
-  intern_index_.emplace(s, p);
-  return p;
-}
-
-std::uint64_t FlightRecorder::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return head_;
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return head_ > ring_.size() ? head_ - ring_.size() : 0;
-}
-
-std::size_t FlightRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::size_t>(
-      head_ < ring_.size() ? head_ : ring_.size());
-}
-
-std::vector<FlightRecord> FlightRecorder::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<FlightRecord> out;
-  if (!opt_.enabled || head_ == 0) return out;
-  const std::uint64_t n =
-      head_ < ring_.size() ? head_ : static_cast<std::uint64_t>(ring_.size());
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = head_ - n; i < head_; ++i)
-    out.push_back(ring_[static_cast<std::size_t>(i % ring_.size())]);
-  return out;
+  events_.push(r);
 }
 
 void FlightRecorder::write_ndjson(std::ostream& os) const {
@@ -133,13 +90,8 @@ bool FlightRecorder::dump_now(const char* reason) {
   auto write_all = [&](std::ostream& os) {
     os << "{\"v\": 1, \"ev\": \"dump\", \"reason\": ";
     json::write_string(os, reason != nullptr ? reason : "");
-    std::uint64_t total = 0, lost = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      total = head_;
-      lost = head_ > ring_.size() ? head_ - ring_.size() : 0;
-    }
-    os << ", \"recorded\": " << total << ", \"dropped\": " << lost << "}\n";
+    os << ", \"recorded\": " << recorded() << ", \"dropped\": " << dropped()
+       << "}\n";
     for (const FlightRecord& r : trail) write_record(os, r);
   };
   if (opt_.dump_path == "-") {

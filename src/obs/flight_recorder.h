@@ -11,9 +11,9 @@
 // makes (flight_recorder_test pins it).
 //
 // Cost model: recording is one branch when disabled; when enabled it is a
-// short critical section copying ~100 bytes into a preallocated ring — no
-// allocation in the steady state (dynamic labels go through intern(), which
-// deduplicates into recorder-owned storage, bounded by the number of
+// short critical section copying ~100 bytes into a preallocated EventRing —
+// no allocation in the steady state (dynamic labels go through intern(),
+// which deduplicates into recorder-owned storage, bounded by the number of
 // *distinct* labels). The ring wraps, counting what it overwrote in
 // dropped(), so memory stays bounded no matter how long the service runs —
 // the flight-recorder idiom: you keep the last N transitions, which is what
@@ -27,12 +27,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/event_ring.h"
 
 namespace ds::obs {
 
@@ -95,14 +94,15 @@ class FlightRecorder {
   // Copy a dynamic string into recorder-owned storage; the pointer stays
   // valid for the recorder's lifetime. Deduplicates, so steady-state use
   // with a bounded label vocabulary allocates nothing.
-  const char* intern(const std::string& s);
+  const char* intern(const std::string& s) { return events_.intern(s); }
 
-  std::uint64_t recorded() const;  // total records ever accepted
-  std::uint64_t dropped() const;   // overwritten by ring wraparound
-  std::size_t size() const;        // records currently retained
+  // Records ever accepted / overwritten by wraparound / currently retained.
+  std::uint64_t recorded() const { return events_.recorded(); }
+  std::uint64_t dropped() const { return events_.dropped(); }
+  std::size_t size() const { return events_.size(); }
 
   // Retained records in ring (= seq) order.
-  std::vector<FlightRecord> snapshot() const;
+  std::vector<FlightRecord> snapshot() const { return events_.snapshot(); }
 
   // Versioned NDJSON dump of the retained trail, ring order, one record per
   // line. Deterministic for a deterministic record stream.
@@ -120,11 +120,7 @@ class FlightRecorder {
 
  private:
   const FlightRecorderOptions opt_;
-  mutable std::mutex mu_;
-  std::vector<FlightRecord> ring_;
-  std::uint64_t head_ = 0;  // total records ever written
-  std::deque<std::string> interned_;
-  std::map<std::string, const char*> intern_index_;
+  EventRing<FlightRecord> events_;
 };
 
 // Register `rec` with the DS_CHECK failure hook: any failed check dumps the

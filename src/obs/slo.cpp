@@ -89,7 +89,7 @@ QuantileSketch& SloTracker::sketch(SloMetric metric, int priority) {
   const auto key = std::make_pair(static_cast<int>(metric), priority);
   auto it = sketches_.find(key);
   if (it == sketches_.end())
-    it = sketches_.emplace(key, QuantileSketch(opt_.relative_accuracy)).first;
+    it = sketches_.emplace(key, QuantileSketch()).first;
   return it->second;
 }
 
@@ -107,7 +107,7 @@ void SloTracker::observe_finish(int priority, double jct, double slowdown) {
 }
 
 QuantileSketch SloTracker::merged(SloMetric metric) const {
-  QuantileSketch out(opt_.relative_accuracy);
+  QuantileSketch out;
   for (const auto& [key, s] : sketches_)
     if (key.first == static_cast<int>(metric)) out.merge(s);
   return out;

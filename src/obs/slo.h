@@ -54,8 +54,6 @@ Status parse_slo_rule(std::string_view text, SloRule* out);
 
 struct SloOptions {
   std::vector<SloRule> rules;
-  // Relative accuracy of the underlying sketches (see QuantileSketch).
-  double relative_accuracy = 0.01;
 };
 
 class SloTracker {

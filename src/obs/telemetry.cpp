@@ -7,29 +7,12 @@
 
 namespace ds::obs {
 
-namespace {
-
-bool has_prefix(const std::string& name, const std::string& prefix) {
-  return name.compare(0, prefix.size(), prefix) == 0;
-}
-
-}  // namespace
-
 TelemetrySink::TelemetrySink(std::ostream& os, TelemetryOptions opt)
     : os_(os), opt_(std::move(opt)) {}
 
 bool TelemetrySink::keep(const std::string& name) const {
-  if (!opt_.include_prefixes.empty()) {
-    bool included = false;
-    for (const std::string& p : opt_.include_prefixes)
-      if (has_prefix(name, p)) {
-        included = true;
-        break;
-      }
-    if (!included) return false;
-  }
   for (const std::string& p : opt_.exclude_prefixes)
-    if (has_prefix(name, p)) return false;
+    if (name.compare(0, p.size(), p) == 0) return false;
   return true;
 }
 

@@ -7,8 +7,8 @@
 // deterministic sched/sim metrics the series is bit-identical for any
 // --threads), while the plan daemon drives it on a wall-time cadence.
 //
-// The include/exclude prefix filters carve the deterministic surface out of
-// a registry that also holds wall-clock and thread-racy metrics (planner.*
+// The exclude prefix filter carves the deterministic surface out of a
+// registry that also holds wall-clock and thread-racy metrics (planner.*
 // memo counters, tracer.* ring drops): the sched CLI excludes those so its
 // telemetry stream stays byte-reproducible, while the daemon streams
 // everything.
@@ -24,10 +24,7 @@ namespace ds::obs {
 struct Observability;
 
 struct TelemetryOptions {
-  // Keep only metrics whose name starts with one of these prefixes
-  // (empty = keep everything)...
-  std::vector<std::string> include_prefixes;
-  // ...then drop metrics whose name starts with one of these. Exclude wins.
+  // Drop metrics whose name starts with one of these prefixes.
   std::vector<std::string> exclude_prefixes;
 };
 

@@ -1,7 +1,6 @@
 #include "obs/tracer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <ostream>
 
 #include "util/check.h"
@@ -9,16 +8,10 @@
 
 namespace ds::obs {
 
-namespace {
-
-std::atomic<std::uint64_t> g_tracer_ids{1};
-
-}  // namespace
-
 Tracer::Tracer(TracerOptions opt)
     : opt_(opt),
-      id_(g_tracer_ids.fetch_add(1, std::memory_order_relaxed)),
-      epoch_(std::chrono::steady_clock::now()) {
+      epoch_(std::chrono::steady_clock::now()),
+      events_(opt.enabled ? opt.ring_capacity : 0) {
   DS_CHECK_MSG(opt_.ring_capacity >= 2, "tracer ring too small");
 }
 
@@ -26,40 +19,6 @@ double Tracer::wall_now_s() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        epoch_)
       .count();
-}
-
-Tracer::ThreadLog& Tracer::local() {
-  // One cache slot per thread: hits are two loads. A miss (first record from
-  // this thread, or the thread last recorded into a different tracer) takes
-  // the registry lock once.
-  struct Cache {
-    std::uint64_t tracer = 0;
-    ThreadLog* log = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.tracer == id_) return *cache.log;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto me = std::this_thread::get_id();
-  for (const auto& l : logs_) {
-    if (l->owner == me) {
-      cache = {id_, l.get()};
-      return *l;
-    }
-  }
-  auto log = std::make_unique<ThreadLog>();
-  log->owner = me;
-  log->ring.resize(opt_.ring_capacity);
-  logs_.push_back(std::move(log));
-  cache = {id_, logs_.back().get()};
-  return *cache.log;
-}
-
-void Tracer::record(const TraceEvent& ev) {
-  ThreadLog& log = local();
-  TraceEvent& slot = log.ring[log.head % log.ring.size()];
-  slot = ev;
-  slot.seq = log.head;
-  ++log.head;
 }
 
 void Tracer::complete(const char* cat, const char* name, double ts_s,
@@ -76,7 +35,7 @@ void Tracer::complete(const char* cat, const char* name, double ts_s,
   ev.tid = tid;
   ev.arg_name = arg_name;
   ev.arg_value = arg_value;
-  record(ev);
+  events_.push(ev);
 }
 
 void Tracer::instant(const char* cat, const char* name, double ts_s,
@@ -92,7 +51,7 @@ void Tracer::instant(const char* cat, const char* name, double ts_s,
   ev.tid = tid;
   ev.arg_name = arg_name;
   ev.arg_value = arg_value;
-  record(ev);
+  events_.push(ev);
 }
 
 void Tracer::counter(const char* cat, const char* name, double ts_s,
@@ -106,17 +65,7 @@ void Tracer::counter(const char* cat, const char* name, double ts_s,
   ev.pid = pid;
   ev.tid = 0;
   ev.arg_value = value;
-  record(ev);
-}
-
-const char* Tracer::intern(const std::string& s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = intern_index_.find(s);
-  if (it != intern_index_.end()) return it->second;
-  interned_.push_back(s);  // deque: element addresses are stable
-  const char* p = interned_.back().c_str();
-  intern_index_.emplace(s, p);
-  return p;
+  events_.push(ev);
 }
 
 void Tracer::set_process_name(std::int32_t pid, const std::string& name) {
@@ -132,32 +81,8 @@ void Tracer::set_thread_name(std::int32_t pid, std::int32_t tid,
   meta_.push_back(Meta{pid, tid, true, name});
 }
 
-std::uint64_t Tracer::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& l : logs_) n += std::min<std::uint64_t>(l->head, l->ring.size());
-  return n;
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& l : logs_)
-    n += l->head > l->ring.size() ? l->head - l->ring.size() : 0;
-  return n;
-}
-
 std::vector<TraceEvent> Tracer::snapshot() const {
-  std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& l : logs_) {
-      const std::uint64_t kept = std::min<std::uint64_t>(l->head, l->ring.size());
-      const std::uint64_t first = l->head - kept;
-      for (std::uint64_t i = first; i < l->head; ++i)
-        out.push_back(l->ring[i % l->ring.size()]);
-    }
-  }
+  std::vector<TraceEvent> out = events_.snapshot();
   std::sort(out.begin(), out.end(), [](const TraceEvent& a, const TraceEvent& b) {
     if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
     if (a.pid != b.pid) return a.pid < b.pid;
@@ -169,13 +94,11 @@ std::vector<TraceEvent> Tracer::snapshot() const {
 
 void Tracer::write_chrome_json(std::ostream& os) const {
   const std::vector<TraceEvent> events = snapshot();
+  const std::uint64_t dropped_events = dropped();
   std::vector<Meta> meta;
-  std::uint64_t dropped_events = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     meta = meta_;
-    for (const auto& l : logs_)
-      dropped_events += l->head > l->ring.size() ? l->head - l->ring.size() : 0;
   }
 
   os << "{\"traceEvents\":[";

@@ -1,14 +1,15 @@
-// Structured span tracer with per-thread ring buffers and Chrome trace_event
+// Structured span tracer over one bounded EventRing, with Chrome trace_event
 // export.
 //
-// Record calls append one fixed-size TraceEvent to the calling thread's ring
-// buffer — no locking, no allocation after the ring is built, and bounded
-// memory per thread (the ring wraps, counting what it overwrote in
-// dropped()). Disabled tracers (the default) reject every record with one
-// branch; callers that resolve their Tracer* through obs::tracer() hold
-// nullptr instead and pay nothing at all.
+// Record calls push one fixed-size TraceEvent into the ring — one
+// uncontended lock, no allocation after the ring is built, and bounded
+// memory (the ring wraps, keeping the newest events across all recording
+// threads and counting what it overwrote in dropped()). Disabled tracers
+// (the default) allocate nothing and reject every record with one branch;
+// callers that resolve their Tracer* through obs::tracer() hold nullptr
+// instead and pay nothing at all.
 //
-// Export (write_chrome_json) merges all rings into one deterministically
+// Export (write_chrome_json) sorts the ring into one deterministically
 // ordered Chrome `trace_event` array loadable by chrome://tracing or
 // https://ui.perfetto.dev. Timestamps are microseconds; callers pass seconds
 // (sim-time for engine spans, wall-clock via wall_now_s() for planner
@@ -21,14 +22,12 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "obs/event_ring.h"
 
 namespace ds::obs {
 
@@ -42,12 +41,12 @@ struct TraceEvent {
   std::int32_t tid = 0;
   const char* arg_name = nullptr;  // optional single numeric argument
   double arg_value = 0;
-  std::uint64_t seq = 0;  // per-thread record index (stable sort tiebreak)
+  std::uint64_t seq = 0;  // ring record index (stable sort tiebreak)
 };
 
 struct TracerOptions {
   bool enabled = false;
-  // Events retained per recording thread; older events are overwritten.
+  // Events retained; older events are overwritten.
   std::size_t ring_capacity = std::size_t{1} << 15;
 };
 
@@ -76,28 +75,24 @@ class Tracer {
 
   // Copy a dynamic string into tracer-owned storage and return a pointer
   // valid for the tracer's lifetime. Deduplicates.
-  const char* intern(const std::string& s);
+  const char* intern(const std::string& s) { return events_.intern(s); }
 
   // chrome://tracing metadata: names for the pid/tid tracks.
   void set_process_name(std::int32_t pid, const std::string& name);
   void set_thread_name(std::int32_t pid, std::int32_t tid,
                        const std::string& name);
 
-  // Events currently retained across all rings / overwritten by wraparound.
-  std::uint64_t recorded() const;
-  std::uint64_t dropped() const;
+  // Events ever recorded / currently retained / overwritten by wraparound.
+  std::uint64_t recorded() const { return events_.recorded(); }
+  std::size_t size() const { return events_.size(); }
+  std::uint64_t dropped() const { return events_.dropped(); }
 
-  // All retained events merged and sorted by (ts, pid, tid, seq) — the order
+  // All retained events sorted by (ts, pid, tid, seq) — the order
   // write_chrome_json emits. Deterministic for single-threaded recorders.
   std::vector<TraceEvent> snapshot() const;
   void write_chrome_json(std::ostream& os) const;
 
  private:
-  struct ThreadLog {
-    std::thread::id owner;
-    std::vector<TraceEvent> ring;
-    std::uint64_t head = 0;  // total events ever written by this thread
-  };
   struct Meta {
     std::int32_t pid = 0;
     std::int32_t tid = 0;
@@ -105,16 +100,10 @@ class Tracer {
     std::string name;
   };
 
-  void record(const TraceEvent& ev);
-  ThreadLog& local();
-
   const TracerOptions opt_;
-  const std::uint64_t id_;  // globally unique, keys the thread-local cache
   const std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadLog>> logs_;
-  std::deque<std::string> interned_;
-  std::map<std::string, const char*> intern_index_;
+  EventRing<TraceEvent> events_;
+  mutable std::mutex mu_;  // guards meta_
   std::vector<Meta> meta_;
 };
 

@@ -1,4 +1,4 @@
-#include "store/daemon.h"
+#include "service/daemon.h"
 
 #include <exception>
 #include <istream>
@@ -7,59 +7,11 @@
 #include <vector>
 
 #include "core/plan_serialize.h"
-#include "dag/serialize.h"
 #include "obs/obs.h"
+#include "service/ndjson.h"
 #include "util/check.h"
-#include "util/json.h"
 
-namespace ds::store {
-
-namespace {
-
-// Echo a request id into a response. Only scalar ids round-trip (the
-// protocol never needs structured ids); anything else is echoed as null.
-void write_id(std::ostream& os, const json::Value* id) {
-  if (id == nullptr) {
-    os << "null";
-    return;
-  }
-  switch (id->type()) {
-    case json::Value::Type::kString:
-      json::write_string(os, id->str_or(""));
-      return;
-    case json::Value::Type::kNumber: {
-      std::ostringstream tmp;
-      tmp.precision(17);
-      tmp << id->num_or(0);
-      os << tmp.str();
-      return;
-    }
-    case json::Value::Type::kBool:
-      os << (id->bool_or(false) ? "true" : "false");
-      return;
-    default:
-      os << "null";
-      return;
-  }
-}
-
-// Every response line leads with the protocol version (see the NDJSON
-// protocol notes in core/plan_serialize.h).
-void open_response(std::ostream& os, const json::Value* id) {
-  os << "{\"v\": " << core::kNdjsonProtocolVersion << ", \"id\": ";
-  write_id(os, id);
-}
-
-std::string error_response(const json::Value* id, const std::string& message) {
-  std::ostringstream os;
-  open_response(os, id);
-  os << ", \"error\": ";
-  json::write_string(os, message);
-  os << "}";
-  return os.str();
-}
-
-}  // namespace
+namespace ds::service {
 
 PlanDaemon::PlanDaemon(DaemonOptions options, obs::Observability* obs)
     : opt_(options),
@@ -85,88 +37,74 @@ double PlanDaemon::uptime_s() const {
 
 std::string PlanDaemon::handle_line(const std::string& line, bool* is_error) {
   if (is_error != nullptr) *is_error = true;  // cleared on the success paths
-  json::Value req;
-  if (const Status st = json::parse(line, &req); !st.is_ok())
-    return error_response(nullptr, st.message());
-  if (!req.is_object())
-    return error_response(nullptr, "request must be a JSON object");
-  const json::Value* id = req.find("id");
-  if (const Status st = core::check_ndjson_version(req); !st.is_ok())
-    return error_response(id, st.message());
+  Request req;
+  const Status parsed = parse_request(line, &req);
+  const json::Value* id = req.object.find("id");
+  if (!parsed.is_ok()) return error_response(id, parsed.message());
 
-  if (const json::Value* cmd = req.find("cmd"); cmd != nullptr) {
-    const std::string name = cmd->str_or("");
-    if (name == "save") {
-      const Status st = service_.save();
-      std::ostringstream os;
-      open_response(os, id);
-      if (st.is_ok()) {
-        os << ", \"ok\": true, \"workloads\": "
-           << service_.profiles().workloads() << "}";
-        if (is_error != nullptr) *is_error = false;
-        return os.str();
-      }
-      return error_response(id, st.message());
-    }
-    if (name == "stats") {
-      // stats_ is only written in serve()'s serial accounting loop after each
-      // batch, so a stats request sees counters through the *previous* batch
-      // (a stats line batched with plan requests does not count them yet).
-      const PlanCache& c = service_.cache();
-      std::ostringstream os;
-      open_response(os, id);
-      os << ", \"cache\": {\"size\": " << service_.cache().size()
-         << ", \"hits\": " << c.hits() << ", \"misses\": " << c.misses()
-         << ", \"evictions\": " << c.evictions() << ", \"stale\": " << c.stale()
-         << ", \"invalidations\": " << c.invalidations()
-         << "}, \"workloads\": " << service_.profiles().workloads()
-         << ", \"daemon\": {\"requests\": " << stats_.requests
-         << ", \"plans\": " << stats_.plans
-         << ", \"errors\": " << stats_.errors << ", \"uptime_s\": ";
-      std::ostringstream up;
-      up.precision(6);
-      up << uptime_s();
-      os << up.str() << "}}";
-      if (is_error != nullptr) *is_error = false;
-      return os.str();
-    }
-    return error_response(id, "unknown cmd \"" + name + "\"");
+  if (req.kind == Request::Kind::kSave) {
+    const Status st = service_.save();
+    if (!st.is_ok()) return error_response(id, st.message());
+    std::ostringstream os;
+    open_response(os, id);
+    os << ", \"ok\": true, \"workloads\": " << service_.profiles().workloads()
+       << "}";
+    if (is_error != nullptr) *is_error = false;
+    return os.str();
+  }
+  if (req.kind == Request::Kind::kStats) {
+    // stats_ is only written in serve()'s serial accounting loop after each
+    // batch, so a stats request sees counters through the *previous* batch
+    // (a stats line batched with plan requests does not count them yet).
+    const store::PlanCache& c = service_.cache();
+    std::ostringstream os;
+    open_response(os, id);
+    os << ", \"cache\": {\"size\": " << service_.cache().size()
+       << ", \"hits\": " << c.hits() << ", \"misses\": " << c.misses()
+       << ", \"evictions\": " << c.evictions() << ", \"stale\": " << c.stale()
+       << ", \"invalidations\": " << c.invalidations()
+       << "}, \"workloads\": " << service_.profiles().workloads()
+       << ", \"daemon\": {\"requests\": " << stats_.requests
+       << ", \"plans\": " << stats_.plans
+       << ", \"errors\": " << stats_.errors << ", \"uptime_s\": ";
+    std::ostringstream up;
+    up.precision(6);
+    up << uptime_s();
+    os << up.str() << "}}";
+    if (is_error != nullptr) *is_error = false;
+    return os.str();
   }
 
-  const json::Value* spec_field = req.find("spec");
-  if (spec_field == nullptr || !spec_field->is_string())
-    return error_response(id, "request needs a \"spec\" string (job-spec text)");
-
   try {
-    const dag::JobDag job = dag::load_job_spec_text(spec_field->str_or(""));
-
+    const dag::JobDag& job = req.dag;
     sim::ClusterSpec spec = opt_.cluster;
-    if (const json::Value* c = req.find("cluster"); c != nullptr) {
+    if (const json::Value* c = req.object.find("cluster"); c != nullptr) {
       if (const Status st = sim::ClusterSpec::by_name(c->str_or(""), &spec);
           !st.is_ok())
         return error_response(id, st.message());
     }
-    if (const json::Value* v = req.find("workers"); v != nullptr)
+    if (const json::Value* v = req.object.find("workers"); v != nullptr)
       spec.num_workers = static_cast<int>(v->int_or(spec.num_workers));
-    if (const json::Value* v = req.find("executors"); v != nullptr)
+    if (const json::Value* v = req.object.find("executors"); v != nullptr)
       spec.executors_per_worker =
           static_cast<int>(v->int_or(spec.executors_per_worker));
-    if (const json::Value* v = req.find("storage_nodes"); v != nullptr)
+    if (const json::Value* v = req.object.find("storage_nodes"); v != nullptr)
       spec.num_storage_nodes =
           static_cast<int>(v->int_or(spec.num_storage_nodes));
-    if (const json::Value* v = req.find("congestion"); v != nullptr)
+    if (const json::Value* v = req.object.find("congestion"); v != nullptr)
       spec.congestion_penalty = v->num_or(spec.congestion_penalty);
     if (spec.num_workers <= 0 || spec.executors_per_worker <= 0)
       return error_response(id, "cluster must have workers and executors");
 
     core::CalculatorOptions copt = service_.options().calculator;
-    if (const json::Value* v = req.find("quantile"); v != nullptr)
+    if (const json::Value* v = req.object.find("quantile"); v != nullptr)
       copt.model.quantile = v->num_or(copt.model.quantile);
     if (const Status st = core::validate(copt); !st.is_ok())
       return error_response(id, st.message());
 
     const core::JobProfile profile = core::JobProfile::from(job, spec);
-    const PlanService::Planned planned = service_.plan(job, profile, copt);
+    const store::PlanService::Planned planned =
+        service_.plan(job, profile, copt);
 
     if (flight_ != nullptr) {
       // Audit every served plan (wall time base; record() is thread-safe, so
@@ -192,8 +130,8 @@ std::string PlanDaemon::handle_line(const std::string& line, bool* is_error) {
     if (is_error != nullptr) *is_error = false;
     return os.str();
   } catch (const std::exception& e) {
-    // load_job_spec_text throws CheckError with a line number on malformed
-    // specs; a bad request must come back as an error response.
+    // A failed DS_CHECK inside the planner throws CheckError; a bad request
+    // must come back as an error response.
     return error_response(id, e.what());
   }
 }
@@ -250,4 +188,4 @@ DaemonStats PlanDaemon::serve(std::istream& in, std::ostream& out) {
   return stats_;
 }
 
-}  // namespace ds::store
+}  // namespace ds::service

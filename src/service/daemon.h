@@ -1,19 +1,18 @@
 // PlanDaemon — the `delaystage_cli serve` loop: newline-delimited JSON plan
 // requests on an istream, responses (one JSON object per line, in request
-// order) on an ostream.
+// order) on an ostream. The request grammar is service/ndjson.h's:
 //
-// Request shapes:
 //   {"id": 7, "spec": "job,x\nstage,...", "cluster": "prototype",
 //    "workers": 30, "executors": 2, "storage_nodes": 3, "quantile": 0.9}
+//   {"id": 8, "workload": "lda", "scale": 0.5, "cluster": "three_node"}
 //   {"cmd": "stats"}         → cache/profile counters
 //   {"cmd": "save"}          → persist the profile store now
 //
-// `spec` is the dag/serialize job-spec text (newlines escaped as \n inside
-// the JSON string). `cluster` names a preset (prototype | three_node; any
-// other name is an error response); workers/executors/storage_nodes/
-// congestion override individual fields of it, so a client can describe the
-// live cluster it sees. Every other field is optional and defaults to the
-// daemon's configuration.
+// `cluster` names a preset (prototype | three_node; any other name is an
+// error response); workers/executors/storage_nodes/congestion override
+// individual fields of it, so a client can describe the live cluster it
+// sees. Every other field is optional and defaults to the daemon's
+// configuration.
 //
 // Responses echo the request `id` and carry "cache": "hit" | "miss" plus the
 // full plan (core::plan_to_json). A malformed line produces
@@ -35,10 +34,10 @@
 #include "store/plan_service.h"
 #include "util/thread_pool.h"
 
-namespace ds::store {
+namespace ds::service {
 
 struct DaemonOptions {
-  PlanServiceOptions service;
+  store::PlanServiceOptions service;
   // Preset used when a request names no cluster.
   sim::ClusterSpec cluster = sim::ClusterSpec::paper_prototype();
   int threads = 0;          // ThreadPool size; 0 = hardware concurrency
@@ -69,7 +68,7 @@ class PlanDaemon {
   // (optional) reports whether the response is an error response.
   std::string handle_line(const std::string& line, bool* is_error = nullptr);
 
-  PlanService& service() { return service_; }
+  store::PlanService& service() { return service_; }
   const DaemonStats& stats() const { return stats_; }
 
  private:
@@ -78,7 +77,7 @@ class PlanDaemon {
 
   DaemonOptions opt_;
   obs::Observability* obs_;
-  PlanService service_;
+  store::PlanService service_;
   ThreadPool pool_;
   DaemonStats stats_;
   obs::Counter requests_metric_;
@@ -88,4 +87,4 @@ class PlanDaemon {
   double last_telemetry_ = -1;
 };
 
-}  // namespace ds::store
+}  // namespace ds::service

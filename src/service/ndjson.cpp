@@ -2,8 +2,8 @@
 
 #include <exception>
 #include <ostream>
+#include <sstream>
 
-#include "core/plan_serialize.h"
 #include "dag/serialize.h"
 #include "util/json.h"
 #include "workloads/workloads.h"
@@ -33,56 +33,117 @@ Status build_workload(const std::string& name, double scale,
   return Status::ok();
 }
 
+// "v" absent = version 1; non-numeric or unsupported = error.
+Status check_version(const json::Value& request) {
+  const json::Value* v = request.find("v");
+  if (v == nullptr) return Status::ok();
+  if (!v->is_number())
+    return Status::error("\"v\" must be a number (protocol version)");
+  const auto version = v->int_or(-1);
+  if (version != kNdjsonProtocolVersion) {
+    std::ostringstream os;
+    os << "unsupported protocol version " << version << " (this server speaks v"
+       << kNdjsonProtocolVersion << ")";
+    return Status::error(os.str());
+  }
+  return Status::ok();
+}
+
+// Echo a request id into a response. Only scalar ids round-trip (the
+// protocol never needs structured ids); anything else is echoed as null.
+void write_id(std::ostream& os, const json::Value* id) {
+  if (id == nullptr) {
+    os << "null";
+    return;
+  }
+  switch (id->type()) {
+    case json::Value::Type::kString:
+      json::write_string(os, id->str_or(""));
+      return;
+    case json::Value::Type::kNumber: {
+      std::ostringstream tmp;
+      tmp.precision(17);
+      tmp << id->num_or(0);
+      os << tmp.str();
+      return;
+    }
+    case json::Value::Type::kBool:
+      os << (id->bool_or(false) ? "true" : "false");
+      return;
+    default:
+      os << "null";
+      return;
+  }
+}
+
 }  // namespace
 
-Status parse_sched_request(const std::string& line, SchedRequest* out) {
-  json::Value req;
-  if (const Status st = json::parse(line, &req); !st.is_ok()) return st;
-  if (!req.is_object())
-    return Status::error("request must be a JSON object");
-  if (const Status st = core::check_ndjson_version(req); !st.is_ok())
+Status parse_request(const std::string& line, Request* req) {
+  *req = Request();
+  if (const Status st = json::parse(line, &req->object); !st.is_ok())
     return st;
+  const json::Value& o = req->object;
+  if (!o.is_object()) return Status::error("request must be a JSON object");
+  if (const Status st = check_version(o); !st.is_ok()) return st;
 
-  SchedRequest r;
-  if (const json::Value* cmd = req.find("cmd"); cmd != nullptr) {
-    if (cmd->str_or("") != "stats")
-      return Status::error("unknown \"cmd\" (expected \"stats\")");
-    r.kind = SchedRequest::Kind::kStats;
-    *out = std::move(r);
+  if (const json::Value* cmd = o.find("cmd"); cmd != nullptr) {
+    const std::string name = cmd->str_or("");
+    if (name == "stats") {
+      req->kind = Request::Kind::kStats;
+    } else if (name == "save") {
+      req->kind = Request::Kind::kSave;
+    } else {
+      return Status::error("unknown cmd \"" + name +
+                           "\" (expected stats or save)");
+    }
     return Status::ok();
   }
-  const json::Value* workload = req.find("workload");
-  const json::Value* spec = req.find("spec");
-  if ((workload != nullptr) == (spec != nullptr))
+  const json::Value* workload = o.find("workload");
+  const json::Value* spec = o.find("spec");
+  if ((workload != nullptr) == (spec != nullptr) ||
+      (spec != nullptr && !spec->is_string()))
     return Status::error(
         "request needs exactly one of \"workload\" or \"spec\"");
   if (workload != nullptr) {
     double scale = 1.0;
-    if (const json::Value* v = req.find("scale"); v != nullptr)
+    if (const json::Value* v = o.find("scale"); v != nullptr)
       scale = v->num_or(scale);
     if (scale <= 0) return Status::error("\"scale\" must be positive");
     if (const Status st =
-            build_workload(workload->str_or(""), scale, &r.dag);
+            build_workload(workload->str_or(""), scale, &req->dag);
         !st.is_ok())
       return st;
   } else {
     try {
-      r.dag = dag::load_job_spec_text(spec->str_or(""));
+      req->dag = dag::load_job_spec_text(spec->str_or(""));
     } catch (const std::exception& e) {
       return Status::error(e.what());
     }
   }
-  if (const json::Value* v = req.find("arrival"); v != nullptr)
-    r.arrival = v->num_or(-1);
-  if (const json::Value* v = req.find("priority"); v != nullptr)
-    r.priority = static_cast<int>(v->int_or(0));
-  *out = std::move(r);
+  if (const json::Value* v = o.find("arrival"); v != nullptr)
+    req->arrival = v->num_or(-1);
+  if (const json::Value* v = o.find("priority"); v != nullptr)
+    req->priority = static_cast<int>(v->int_or(0));
   return Status::ok();
+}
+
+void open_response(std::ostream& os, const json::Value* id) {
+  os << "{\"v\": " << kNdjsonProtocolVersion << ", \"id\": ";
+  write_id(os, id);
+}
+
+std::string error_response(const json::Value* id, const std::string& message) {
+  std::ostringstream os;
+  open_response(os, id);
+  os << ", \"error\": ";
+  json::write_string(os, message);
+  os << "}";
+  return os.str();
 }
 
 void write_job_status(std::ostream& os, const JobStatus& status) {
   os.precision(12);
-  os << "{\"v\": " << core::kNdjsonProtocolVersion
+  os << "{\"v\": " << kNdjsonProtocolVersion
      << ", \"id\": " << status.id << ", \"name\": ";
   json::write_string(os, status.name);
   os << ", \"state\": \"" << to_string(status.state)

@@ -1,22 +1,36 @@
-// NDJSON job-submission protocol for `delaystage_cli sched --jobs-in`
-// (version 1 — the shared protocol rules, version field semantics and
-// unknown-field tolerance are documented in core/plan_serialize.h next to
-// the plan JSON).
+// The NDJSON request protocol (version 1) shared by `delaystage_cli serve`
+// (service/daemon.h) and `delaystage_cli sched --jobs-in`: newline-delimited
+// JSON, one request object per line, one grammar for both front doors.
 //
-// One request per line:
-//   {"v": 1, "workload": "lda", "scale": 1.0, "arrival": 12.5, "priority": 0}
-//   {"v": 1, "spec": "<job-spec text>", "arrival": 30}
-//   {"v": 1, "cmd": "stats"}
-// Exactly one of "workload" (a built-in benchmark name: als,
-// connected_components, cosine_similarity, lda, triangle_count) or "spec"
-// (inline dag/serialize job-spec text) selects the job. "arrival" is the
-// absolute submit time in seconds (absent/negative = back-to-back with the
-// previous job), "priority" the class (lower = more important).
+// Every request MAY carry a "v" version field:
+//   * absent          → treated as version 1 (the first shipped protocol)
+//   * "v": 1          → version 1
+//   * anything else   → the request is rejected with a ds::Status error;
+//     serve answers it with an {"v": 1, "id": …, "error": "…"} line and
+//     keeps going (one bad request never kills the server).
+// Unknown fields are ignored (forward tolerance): clients may attach extra
+// metadata without breaking older servers. Every response line carries
+// "v": 1.
 //
-// A {"cmd": "stats"} line is not a submission: the CLI answers it in stream
-// order with one live {"ev": "stats"} state line (queue depth, ledger
-// occupancy, fleet quantiles, SLO verdicts — Scheduler::write_stats),
-// evaluated after the preceding submissions have been processed.
+// Request shapes:
+//   {"v": 1, "id": 7, "workload": "lda", "scale": 1.0, …}
+//   {"v": 1, "id": 7, "spec": "job,x\nstage,…", …}
+//   {"v": 1, "id": 7, "cmd": "stats" | "save"}
+// A job request names exactly one of "workload" (a built-in benchmark:
+// als, connected_components, cosine_similarity, lda or triangle_count,
+// its dataset sized by "scale") or "spec" (dag/serialize job-spec text,
+// newlines escaped as \n inside the JSON string). Each front door reads
+// its own fields:
+//   serve — "id" (echoed in the response), "cluster" (prototype |
+//     three_node), the preset overrides "workers", "executors",
+//     "storage_nodes" and "congestion", and the planner's "quantile";
+//     "stats" answers cache/profile counters, "save" persists the profile
+//     store.
+//   sched — "arrival" (absolute submit time in seconds; absent/negative =
+//     back-to-back with the previous job) and "priority" (the class, lower
+//     = more important). "stats" answers in stream order with one live
+//     {"ev": "stats"} state line (Scheduler::write_stats), evaluated after
+//     the preceding submissions; "save" is an error.
 #pragma once
 
 #include <iosfwd>
@@ -24,22 +38,34 @@
 
 #include "dag/job.h"
 #include "service/scheduler.h"
+#include "util/json.h"
 #include "util/status.h"
 #include "util/units.h"
 
 namespace ds::service {
 
-struct SchedRequest {
-  enum class Kind { kSubmit, kStats };
-  Kind kind = Kind::kSubmit;
-  dag::JobDag dag;       // kSubmit only
+inline constexpr int kNdjsonProtocolVersion = 1;
+
+struct Request {
+  enum class Kind { kJob, kStats, kSave };
+  Kind kind = Kind::kJob;
+  json::Value object;    // the whole parsed line: each front door's fields
+  dag::JobDag dag;       // kJob only
   Seconds arrival = -1;  // < 0: caller decides (arrive immediately)
   int priority = 0;
 };
 
-// Parses one submission line (version check included). `out` is only
-// modified on success; unknown fields are ignored.
-Status parse_sched_request(const std::string& line, SchedRequest* out);
+// Parses one request line: a JSON object with a supported "v", then either
+// a "cmd" or a job. On error `req->object` still holds whatever parsed (so
+// serve can echo the "id"); the other fields are unspecified.
+Status parse_request(const std::string& line, Request* req);
+
+// Starts a response line: `{"v": 1, "id": <id>` (scalar ids echo back,
+// anything else is null). The caller appends fields and the closing brace.
+void open_response(std::ostream& os, const json::Value* id);
+
+// A complete {"v": 1, "id": …, "error": "…"} response (no newline).
+std::string error_response(const json::Value* id, const std::string& message);
 
 // One completed job as an NDJSON response line ({"v": 1, "id": …, "name",
 // "state", "arrival", "wait", "jct", "slowdown", "planned_delay",

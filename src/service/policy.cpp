@@ -32,9 +32,8 @@ const char* to_string(OrderPolicy policy) {
   return "?";
 }
 
-Seconds predicted_dedicated_jct(const core::JobProfile& profile,
-                                Seconds slot) {
-  core::ScheduleEvaluator eval(profile, slot);
+Seconds predicted_dedicated_jct(const core::JobProfile& profile) {
+  core::ScheduleEvaluator eval(profile, 1.0);
   return eval.evaluate({}).jct;
 }
 

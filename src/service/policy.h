@@ -29,9 +29,10 @@ Status parse_order_policy(const std::string& name, OrderPolicy* out);
 const char* to_string(OrderPolicy policy);
 
 // Predicted dedicated-cluster JCT of `profile`'s job at zero delays — the
-// SJF key. Uses the interference-aware slotted evaluator, so it is the same
-// estimate the planner's x = 0 baseline scores.
-Seconds predicted_dedicated_jct(const core::JobProfile& profile, Seconds slot);
+// SJF key and the slowdown baseline. Uses the interference-aware evaluator
+// at one-second slots, so it is the same estimate the planner's x = 0
+// baseline scores.
+Seconds predicted_dedicated_jct(const core::JobProfile& profile);
 
 // Length of the DAG's critical path in solo stage times (Alg. 1 line 2's
 // ^t_k summed along the longest dependency chain) — the HardFirst key.

@@ -43,14 +43,10 @@ Status validate(const SchedulerOptions& o) {
     return Status::error("min_slots_per_job must be >= 1");
   if (o.interference < 0)
     return Status::error("interference must be >= 0");
-  if (o.estimate_slot <= 0)
-    return Status::error("estimate_slot must be positive");
   for (const obs::SloRule& r : o.slo) {
     if (!(r.quantile > 0 && r.quantile < 1) || !(r.threshold > 0))
       return Status::error("bad SLO rule: " + r.spec);
   }
-  if (!(o.slo_accuracy > 0 && o.slo_accuracy < 0.5))
-    return Status::error("slo_accuracy must be in (0, 0.5)");
   if (o.telemetry != nullptr) {
     if (o.obs == nullptr)
       return Status::error("telemetry requires an Observability sink");
@@ -108,7 +104,7 @@ Scheduler::Scheduler(SchedulerOptions options)
   mean_worker_bw_ = ledger_.total_bandwidth() / cluster_->num_workers();
   flight_ = obs::flight(opt_.obs);
   slo_ = std::make_unique<obs::SloTracker>(
-      obs::SloOptions{opt_.slo, opt_.slo_accuracy}, opt_.obs, flight_);
+      obs::SloOptions{opt_.slo}, opt_.obs, flight_);
 }
 
 Scheduler::~Scheduler() = default;
@@ -130,7 +126,7 @@ service::JobId Scheduler::submit_at(Seconds arrival, const dag::JobDag& dag,
   // critical-path score, both on the full measured cluster profile.
   core::JobProfile full = core::JobProfile::from_measured(j->dag, *cluster_);
   j->status.dedicated_estimate =
-      service::predicted_dedicated_jct(full, opt_.estimate_slot);
+      service::predicted_dedicated_jct(full);
   j->critical_path = service::critical_path_time(full);
 
   jobs_.push_back(std::move(j));

@@ -92,9 +92,6 @@ struct SchedulerOptions : CommonOptions {
   // blocks backfill, and planned delays scale by max(0, 1 − wait/budget).
   // <= 0 disables aging and delay rebalancing (strict class order).
   Seconds delay_budget = 120.0;
-  // Slot width of the analytic evaluator used for the dedicated-JCT
-  // estimate (the slowdown baseline and the SJF key).
-  Seconds estimate_slot = 1.0;
   // Online SLO rules (parse_slo_rule's "p99_slowdown<=2.5" grammar),
   // evaluated after every admission and completion over exact-merge quantile
   // sketches. Each ok→violated transition records a slo_violation flight
@@ -102,7 +99,6 @@ struct SchedulerOptions : CommonOptions {
   // slo.<spec> gauge. A plan_latency rule observes planner *wall* time and
   // is therefore not bit-reproducible; the other metrics are.
   std::vector<obs::SloRule> slo;
-  double slo_accuracy = 0.01;  // sketch relative accuracy (see quantile_sketch.h)
   // Streaming telemetry: snapshot obs's registry into this sink every
   // telemetry_period *simulated* seconds while any job is non-terminal
   // (requires obs; the sink must outlive the scheduler). Ticks are ordinary

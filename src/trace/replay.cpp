@@ -133,6 +133,22 @@ JobModel model_job(const TraceJob& tj, const ReplayOptions& opt,
   return m;
 }
 
+// Executes `delay` for `dag` through the discrete-event engine on a fresh
+// dedicated sub-cluster — one self-contained simulated world per call.
+engine::JobResult run_on_engine(const dag::JobDag& dag,
+                                const sim::ClusterSpec& cs, std::uint64_t seed,
+                                const std::vector<Seconds>& delay) {
+  sim::Simulator sim;
+  sim::Cluster cluster(sim, cs, seed);
+  engine::RunOptions ro;
+  ro.seed = seed;
+  ro.plan.delay = delay;
+  engine::JobRun run(cluster, dag, std::move(ro));
+  run.start();
+  sim.run();
+  return run.result();
+}
+
 }  // namespace
 
 Status validate(const ReplayOptions& options) {
@@ -224,17 +240,11 @@ ReplayResult replay(const std::vector<TraceJob>& jobs,
       const std::uint64_t sig = core::workload_signature(dag);
       const core::CalibrationFactors f = calibrator.factors(sig);
       models[i] = model_job(jobs[i], options, options.seed + i, &f);
-      sim::Simulator sim;
-      sim::Cluster cluster(sim, cs, options.seed + i);
-      engine::RunOptions ro;
-      ro.seed = options.seed + i;
-      ro.plan.delay = models[i].delay;
-      engine::JobRun run(cluster, dag, std::move(ro));
-      run.start();
-      sim.run();
-      engine_jcts[i] = run.result().jct;
-      calibrator.observe(
-          sig, core::observe_timelines(models[i].predicted, run.result()));
+      const engine::JobResult r =
+          run_on_engine(dag, cs, options.seed + i, models[i].delay);
+      engine_jcts[i] = r.jct;
+      calibrator.observe(sig,
+                         core::observe_timelines(models[i].predicted, r));
     }
   } else {
     // 1) Dedicated-sub-cluster model per job. Jobs are planned independently
@@ -253,18 +263,11 @@ ReplayResult replay(const std::vector<TraceJob>& jobs,
     if (options.engine_validate) {
       engine_jcts.assign(jobs.size(), 0.0);
       ThreadPool shards(options.engine_shards);
+      const auto [cs, ref] = sub_cluster_for(options);
       shards.parallel_for(jobs.size(), [&](std::size_t i) {
-        const auto [cs, ref] = sub_cluster_for(options);
-        sim::Simulator sim;
-        sim::Cluster cluster(sim, cs, options.seed + i);
-        const dag::JobDag dag = to_job_dag(jobs[i], ref);
-        engine::RunOptions ro;
-        ro.seed = options.seed + i;
-        ro.plan.delay = models[i].delay;
-        engine::JobRun run(cluster, dag, std::move(ro));
-        run.start();
-        sim.run();
-        engine_jcts[i] = run.result().jct;
+        engine_jcts[i] = run_on_engine(to_job_dag(jobs[i], ref), cs,
+                                       options.seed + i, models[i].delay)
+                             .jct;
       });
     }
   }

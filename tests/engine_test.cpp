@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/job_run.h"
+#include "metrics/sampler.h"
 #include "sim/cluster.h"
 #include "util/check.h"
 #include "util/units.h"
@@ -204,14 +205,21 @@ TEST(JobRun, AggShuffleNeutralOnHomogeneousParent) {
 
 TEST(JobRun, OccupancyTracksHeldSlots) {
   dag::JobDag j = chain_job();
-  RunOptions opt;
-  opt.record_occupancy = true;
   sim::Simulator sim;
   sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
-  JobRun jr(cluster, j, opt);
+  JobRun jr(cluster, j, {});
+  metrics::UtilizationSampler sampler(cluster);
+  const std::size_t stage0 =
+      sampler.track([&jr] { return static_cast<double>(jr.slots_held(0)); });
+  sampler.start();
   jr.start();
+  // The sampler keeps the queue alive: step until the job finishes, then
+  // stop sampling and drain.
+  while (!jr.finished() && sim.step()) {
+  }
+  sampler.stop();
   sim.run();
-  const auto& occ0 = jr.occupancy(0);
+  const auto& occ0 = sampler.tracked(stage0);
   ASSERT_FALSE(occ0.empty());
   double peak = 0;
   for (std::size_t i = 0; i < occ0.size(); ++i) peak = std::max(peak, occ0.value(i));

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "engine/job_run.h"
+#include "metrics/sampler.h"
 #include "sim/cluster.h"
 #include "sim/faults.h"
 #include "util/check.h"
@@ -45,26 +46,40 @@ struct RunOutput {
   std::vector<metrics::TimeSeries> occupancy;
 };
 
+// `sample_occupancy` records each stage's held executors every simulated
+// second into RunOutput::occupancy (finished runs only).
 RunOutput run_with_faults(const dag::JobDag& dag, const sim::FaultPlan& plan,
                           RunOptions opt = {},
                           sim::ClusterSpec spec = sim::ClusterSpec::three_node(),
-                          std::uint64_t cluster_seed = 7) {
+                          std::uint64_t cluster_seed = 7,
+                          bool sample_occupancy = false) {
   sim::Simulator sim;
   sim::Cluster cluster(sim, spec, cluster_seed);
   sim::FaultInjector inj(cluster, plan, opt.seed);
   opt.faults = &inj;
   JobRun jr(cluster, dag, opt);
+  metrics::UtilizationSampler sampler(cluster);
   inj.start();
   jr.start();
+  if (sample_occupancy) {
+    for (dag::StageId s = 0; s < dag.num_stages(); ++s)
+      sampler.track([&jr, s] { return static_cast<double>(jr.slots_held(s)); });
+    sampler.start();
+  }
+  // The sampler keeps the queue alive: step until the job finishes, then
+  // stop sampling and drain.
+  while (!jr.finished() && sim.step()) {
+  }
+  sampler.stop();
   sim.run();
   RunOutput out;
   out.finished = jr.finished();
   out.injected = inj.crashes_injected();
   out.recoveries = inj.recoveries();
   if (jr.finished()) out.result = jr.result();
-  if (opt.record_occupancy && jr.finished()) {
+  if (sample_occupancy && jr.finished()) {
     for (dag::StageId s = 0; s < dag.num_stages(); ++s)
-      out.occupancy.push_back(jr.occupancy(s));
+      out.occupancy.push_back(sampler.tracked(static_cast<std::size_t>(s)));
   }
   // Resource hygiene: a terminal job holds nothing, crashed or not.
   EXPECT_EQ(cluster.executors().total_busy(), 0);
@@ -195,8 +210,9 @@ TEST(FetchFailure, CrashAfterMapRerunsOnlyLostParentTasks) {
   plan.crashes.push_back({victim, map_fin + 1.0, -1});  // permanent
   RunOptions fopt;
   fopt.seed = 3;
-  fopt.record_occupancy = true;
-  const RunOutput out = run_with_faults(dag, plan, fopt);
+  const RunOutput out =
+      run_with_faults(dag, plan, fopt, sim::ClusterSpec::three_node(), 7,
+                      /*sample_occupancy=*/true);
   ASSERT_TRUE(out.finished);
   const JobResult& r = out.result;
   ASSERT_FALSE(r.failed);

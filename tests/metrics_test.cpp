@@ -102,7 +102,7 @@ TEST(Sampler, RecordsCpuAndNetworkUtilization) {
   sim::Simulator simulator;
   sim::ClusterSpec spec = sim::ClusterSpec::three_node();
   sim::Cluster cluster(simulator, spec, 5);
-  UtilizationSampler sampler(cluster, 1.0);
+  UtilizationSampler sampler(cluster);
   sampler.start();
 
   // Both executors of worker 0 actively compute between t=0 and t=5.
@@ -137,7 +137,7 @@ TEST(Sampler, RecordsCpuAndNetworkUtilization) {
 TEST(Sampler, StopHaltsSampling) {
   sim::Simulator simulator;
   sim::Cluster cluster(simulator, sim::ClusterSpec::three_node(), 5);
-  UtilizationSampler sampler(cluster, 1.0);
+  UtilizationSampler sampler(cluster);
   sampler.start();
   simulator.schedule_at(3.0, [&] { sampler.stop(); });
   simulator.run();  // must terminate (sampler no longer self-schedules)

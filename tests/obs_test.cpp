@@ -4,6 +4,7 @@
 // must not change a simulation result bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -203,13 +204,61 @@ TEST(Tracer, RingWrapsKeepingTheNewestEvents) {
   for (int i = 0; i < 20; ++i)
     tr.instant("t", "e", static_cast<double>(i), 0, 0, "i",
                static_cast<double>(i));
-  EXPECT_EQ(tr.recorded(), 8u);
+  EXPECT_EQ(tr.size(), 8u);
   EXPECT_EQ(tr.dropped(), 12u);
   const auto evs = tr.snapshot();
   ASSERT_EQ(evs.size(), 8u);
   for (std::size_t i = 0; i < evs.size(); ++i) {
     EXPECT_DOUBLE_EQ(evs[i].arg_value, 12.0 + static_cast<double>(i));
   }
+}
+
+// Both owners of an EventRing count alike: recorded() is every record ever
+// taken, size() what the ring retains, dropped() what wraparound overwrote.
+TEST(Tracer, CountsLikeTheFlightRecorder) {
+  obs::TracerOptions topt;
+  topt.enabled = true;
+  topt.ring_capacity = 8;
+  obs::FlightRecorderOptions fopt;
+  fopt.enabled = true;
+  fopt.capacity = 8;
+  obs::Observability o(topt, fopt);
+  for (int i = 0; i < 20; ++i) {
+    o.tracer.instant("t", "e", static_cast<double>(i), 0, 0);
+    o.flight.record(obs::FlightRecord{});
+  }
+  EXPECT_EQ(o.tracer.recorded(), 20u);
+  EXPECT_EQ(o.tracer.size(), 8u);
+  EXPECT_EQ(o.tracer.dropped(), 12u);
+  EXPECT_EQ(o.flight.recorded(), 20u);
+  EXPECT_EQ(o.flight.size(), 8u);
+  EXPECT_EQ(o.flight.dropped(), 12u);
+}
+
+// One ring serves every recording thread: on wrap it keeps the newest events
+// across all threads, not the newest per thread.
+TEST(Tracer, WrapKeepsTheNewestEventsAcrossThreads) {
+  obs::TracerOptions topt;
+  topt.enabled = true;
+  topt.ring_capacity = 1024;
+  obs::Tracer tr(topt);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  ThreadPool pool(kThreads);
+  pool.parallel_for(kThreads, [&](std::size_t t) {
+    for (int i = 0; i < kPerThread; ++i)
+      tr.instant("t", "e", static_cast<double>(i), 0,
+                 static_cast<std::int32_t>(t));
+  });
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  EXPECT_EQ(tr.recorded(), kTotal);
+  EXPECT_EQ(tr.size(), 1024u);
+  EXPECT_EQ(tr.dropped(), kTotal - 1024);
+  std::vector<std::uint64_t> seqs;
+  for (const auto& ev : tr.snapshot()) seqs.push_back(ev.seq);
+  std::sort(seqs.begin(), seqs.end());
+  for (std::size_t i = 0; i < seqs.size(); ++i)
+    EXPECT_EQ(seqs[i], kTotal - 1024 + i);
 }
 
 TEST(Tracer, ChromeJsonGolden) {

@@ -16,8 +16,8 @@
 #include "core/plan_serialize.h"
 #include "core/profile.h"
 #include "dag/serialize.h"
+#include "service/daemon.h"
 #include "sim/cluster.h"
-#include "store/daemon.h"
 #include "store/plan_cache.h"
 #include "store/plan_service.h"
 #include "store/profile_store.h"
@@ -462,6 +462,10 @@ TEST(PlanSerialize, VersionMismatchIsAStatusErrorNotACrash) {
 
 // ---------- the NDJSON daemon ----------
 
+using service::DaemonOptions;
+using service::DaemonStats;
+using service::PlanDaemon;
+
 std::string plan_request(int id, const dag::JobDag& job) {
   std::ostringstream os;
   os << "{\"id\": " << id << ", \"spec\": ";
@@ -486,6 +490,18 @@ TEST(PlanDaemon, ServesHitsAfterTheColdMiss) {
     return s.substr(s.find("\"plan\":"));
   };
   EXPECT_EQ(plan_of(first), plan_of(second));
+}
+
+TEST(PlanDaemon, PlansBuiltInWorkloads) {
+  const DaemonOptions dopt;
+  PlanDaemon daemon(dopt);
+  bool err = true;
+  const std::string r = daemon.handle_line(
+      R"({"id": 1, "workload": "als", "cluster": "three_node"})", &err);
+  EXPECT_FALSE(err) << r;
+  EXPECT_NE(r.find("\"id\": 1"), std::string::npos);
+  EXPECT_NE(r.find("\"cache\": \"miss\""), std::string::npos);
+  EXPECT_NE(r.find("\"plan\": {"), std::string::npos);
 }
 
 TEST(PlanDaemon, MalformedLinesGetErrorResponsesNotCrashes) {

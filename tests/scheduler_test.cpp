@@ -291,8 +291,8 @@ TEST(Arrivals, TraceGapsPreservedAndRescalable) {
 }
 
 TEST(SchedNdjson, ParsesWorkloadAndSpecRequests) {
-  service::SchedRequest r;
-  ASSERT_TRUE(service::parse_sched_request(
+  service::Request r;
+  ASSERT_TRUE(service::parse_request(
                   R"({"v": 1, "workload": "lda", "scale": 0.5,)"
                   R"( "arrival": 12.5, "priority": 3, "future_field": true})",
                   &r)
@@ -301,7 +301,7 @@ TEST(SchedNdjson, ParsesWorkloadAndSpecRequests) {
   EXPECT_DOUBLE_EQ(r.arrival, 12.5);
   EXPECT_EQ(r.priority, 3);
 
-  ASSERT_TRUE(service::parse_sched_request(
+  ASSERT_TRUE(service::parse_request(
                   R"({"spec": "job,inline\nstage,s,4,1.0,2.0,0.5,0.1\n"})",
                   &r)
                   .is_ok());
@@ -311,24 +311,37 @@ TEST(SchedNdjson, ParsesWorkloadAndSpecRequests) {
 }
 
 TEST(SchedNdjson, RejectsBadVersionAndMalformedRequests) {
-  service::SchedRequest r;
-  const Status v2 = service::parse_sched_request(
+  service::Request r;
+  const Status v2 = service::parse_request(
       R"({"v": 2, "workload": "lda"})", &r);
   EXPECT_FALSE(v2.is_ok());
   EXPECT_NE(v2.message().find("unsupported protocol version"),
             std::string::npos);
-  EXPECT_FALSE(service::parse_sched_request("not json", &r).is_ok());
-  EXPECT_FALSE(service::parse_sched_request("[1, 2]", &r).is_ok());
-  EXPECT_FALSE(service::parse_sched_request(R"({"v": 1})", &r).is_ok());
-  EXPECT_FALSE(service::parse_sched_request(
+  EXPECT_FALSE(service::parse_request("not json", &r).is_ok());
+  EXPECT_FALSE(service::parse_request("[1, 2]", &r).is_ok());
+  EXPECT_FALSE(service::parse_request(R"({"v": 1})", &r).is_ok());
+  EXPECT_FALSE(service::parse_request(
                    R"({"workload": "lda", "spec": "x"})", &r)
                    .is_ok());
-  EXPECT_FALSE(service::parse_sched_request(
+  EXPECT_FALSE(service::parse_request(
                    R"({"workload": "nope"})", &r)
                    .is_ok());
-  EXPECT_FALSE(service::parse_sched_request(
+  EXPECT_FALSE(service::parse_request(
                    R"({"workload": "lda", "scale": -1})", &r)
                    .is_ok());
+}
+
+TEST(SchedNdjson, ParsesStatsAndSaveCommands) {
+  service::Request r;
+  ASSERT_TRUE(service::parse_request(R"({"cmd": "save"})", &r).is_ok());
+  EXPECT_EQ(r.kind, service::Request::Kind::kSave);
+  ASSERT_TRUE(service::parse_request(R"({"v": 1, "cmd": "stats"})", &r).is_ok());
+  EXPECT_EQ(r.kind, service::Request::Kind::kStats);
+  const Status bad = service::parse_request(R"({"id": 4, "cmd": "nope"})", &r);
+  EXPECT_FALSE(bad.is_ok());
+  // The parsed object survives the error, so serve can echo the id.
+  ASSERT_NE(r.object.find("id"), nullptr);
+  EXPECT_EQ(r.object.find("id")->int_or(0), 4);
 }
 
 TEST(SchedNdjson, ResponseLinesCarryVersionAndNewline) {

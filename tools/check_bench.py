@@ -180,34 +180,6 @@ def main():
                 ereplay_floor,
             )
 
-    adaptive_floors = baseline.get("adaptive_min_gain_pct", {})
-    for entry in results.get("adaptive", []):
-        scenario = field(entry, "scenario", "adaptive")
-        mode = field(entry, "mode", "adaptive")
-        if mode != "calibrated_replan":
-            continue  # the gate judges the full adaptive stack
-        if scenario == "accurate":
-            # Identity contract, not a throughput floor: an accurate profile
-            # must yield bit-identical JCT (gain exactly 0) and zero replans.
-            checked += 1
-            gain = field(entry, "gain_pct", "adaptive")
-            replans = field(entry, "replans", "adaptive")
-            ok = gain == 0.0 and replans == 0
-            print(
-                f"{'ok  ' if ok else 'FAIL'} adaptive[accurate] identity: "
-                f"gain {gain}%, {replans} replan(s) (both must be 0)"
-            )
-            if not ok:
-                failures.append("adaptive[accurate] identity")
-            continue
-        floor = adaptive_floors.get(scenario)
-        if floor is not None:
-            check(
-                f"adaptive[{scenario}] gain %",
-                field(entry, "gain_pct", "adaptive"),
-                floor,
-            )
-
     multijob_floors = baseline.get("multijob_min_gain_pct", {})
     for entry in results.get("multijob", []):
         intensity = field(entry, "intensity", "multijob")
@@ -256,7 +228,6 @@ def main():
             "queue",
             "engine",
             "engine_replay",
-            "adaptive",
             "plan_service",
             "multijob",
         )
