@@ -1,0 +1,709 @@
+// bench_perf — the wall-clock side of the evaluation: the perf gates on
+// planner, replay, event-core, engine and plan-service throughput and on
+// the observability overhead, plus Alg. 1's computation time (Fig. 15 and
+// §5.4). Each gated entry prints its tables, then checks every reading
+// against the committed limit declared beside its measurement, one line
+// per check:
+//
+//   ok   planner[LDA] evals/s: 96108.3 (floor 70000.0, limit 56000.0)
+//
+// A floor passes when the reading is at least floor × (1 − kSlack), a
+// ceiling when it is at most ceiling × (1 + kSlack). The committed values
+// are deliberately pessimistic (about half of what a loaded single-core CI
+// container measures), so only real regressions trip them — losing the
+// fast-forward path, the scan prefix sharing, the memo, or the
+// allocation-free event and fabric cores — not scheduler noise.
+//
+//   bench_perf <entry>...   run the named entries in order
+//   bench_perf all          run every entry in table order
+//   bench_perf help         list the entries
+//
+// Exits 1 when any check missed its limit. No argument, or an unknown
+// entry, prints the list to stderr and exits 2 before anything runs.
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <ctime>
+#include <iomanip>
+#include <iostream>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "core/delay_calculator.h"
+#include "core/profile.h"
+#include "engine/job_run.h"
+#include "metrics/stats.h"
+#include "obs/obs.h"
+#include "obs/telemetry.h"
+#include "sched/strategy.h"
+#include "sim/cluster.h"
+#include "sim/simulator.h"
+#include "store/plan_service.h"
+#include "trace/replay.h"
+#include "trace/synthetic.h"
+#include "trace/trace.h"
+#include "util/check.h"
+#include "util/table.h"
+#include "util/thread_pool.h"
+#include "workloads/workloads.h"
+
+namespace ds::bench {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+// How far a reading may fall below a floor (or rise above a ceiling)
+// before its check fails.
+constexpr double kSlack = 0.20;
+
+struct Check {
+  std::string name;
+  double measured;
+  double committed;
+  bool ceiling;  // false: a floor
+};
+std::vector<Check> g_checks;  // the running entry's, reported after it
+
+void check_floor(std::string name, double measured, double floor) {
+  g_checks.push_back({std::move(name), measured, floor, false});
+}
+
+void check_ceiling(std::string name, double measured, double ceiling) {
+  g_checks.push_back({std::move(name), measured, ceiling, true});
+}
+
+// Prints and clears the pending checks; returns how many missed.
+int report_checks() {
+  int missed = 0;
+  for (const Check& c : g_checks) {
+    const double limit = c.committed * (c.ceiling ? 1.0 + kSlack : 1.0 - kSlack);
+    const bool ok = c.ceiling ? c.measured <= limit : c.measured >= limit;
+    const int digits = c.ceiling ? 2 : 1;
+    std::printf("%s %s: %.*f (%s %.*f, limit %.*f)\n", ok ? "ok  " : "FAIL",
+                c.name.c_str(), digits, c.measured,
+                c.ceiling ? "ceiling" : "floor", digits, c.committed, digits,
+                limit);
+    missed += ok ? 0 : 1;
+  }
+  g_checks.clear();
+  return missed;
+}
+
+// Planner/replay throughput of the parallel DelayStage planner. Times
+// DelayCalculator::compute() on the four §5 workloads at 1/4/8 threads, and
+// the trace replay's per-job planning fan-out. Plans and replay JCTs must
+// not depend on the thread count; the floors gate the 1-thread rows.
+void planner() {
+  constexpr std::pair<std::string_view, double> kEvalsPerSecFloor[] = {
+      {"ConnectedComponents", 110000},
+      {"LDA", 70000},
+      {"CosineSimilarity", 45000},
+      {"TriangleCount", 60000}};
+  constexpr double kReplayJobsPerSecFloor = 420;
+  const int thread_counts[] = {1, 4, 8};
+
+  // --- Planner: DelayCalculator::compute() per workload and thread count.
+  const auto suite = workloads::benchmark_suite();
+  const sim::ClusterSpec spec = sim::ClusterSpec::paper_prototype();
+  TablePrinter pt({"workload", "threads", "ms/plan", "evals", "memo hits",
+                   "evals/s"});
+  pt.set_precision(1);
+  for (std::size_t w = 0; w < suite.size(); ++w) {
+    DS_CHECK(suite[w].name == kEvalsPerSecFloor[w].first);
+    const core::JobProfile profile = core::JobProfile::from(suite[w].dag, spec);
+    std::vector<Seconds> reference_delay;
+    for (int threads : thread_counts) {
+      core::CalculatorOptions copt;
+      copt.threads = threads;
+      const core::DelayCalculator calc(profile, copt);
+      // Warm-up plan (first-touch allocation of the thread-local scratch
+      // arenas), then the timed repetitions.
+      core::DelaySchedule sched = calc.compute();
+      constexpr int kReps = 5;
+      const auto t0 = Clock::now();
+      for (int r = 0; r < kReps; ++r) sched = calc.compute();
+      const double ms = ms_since(t0) / kReps;
+
+      if (reference_delay.empty()) reference_delay = sched.delay;
+      DS_CHECK_MSG(sched.delay == reference_delay,
+                   "planner result depends on thread count");
+
+      const double evals_per_sec =
+          1000.0 * static_cast<double>(sched.evaluations) / ms;
+      pt.add_row({suite[w].name, static_cast<std::int64_t>(threads), ms,
+                  static_cast<std::int64_t>(sched.evaluations),
+                  static_cast<std::int64_t>(sched.memo_hits), evals_per_sec});
+      if (threads == 1)
+        check_floor("planner[" + suite[w].name + "] evals/s", evals_per_sec,
+                    kEvalsPerSecFloor[w].second);
+    }
+  }
+
+  // --- Replay: per-job planning fan-out over a synthetic trace slice.
+  trace::SyntheticTraceOptions topt;
+  topt.num_jobs = 200;
+  topt.seed = 2018;
+  const auto jobs = trace::synthetic_trace(topt);
+  TablePrinter rt({"threads", "jobs/s", "speedup vs 1T"});
+  rt.set_precision(2);
+  double reference_jct = -1;
+  double one_thread_jobs_per_sec = 0;
+  for (int threads : thread_counts) {
+    trace::ReplayOptions ropt;
+    ropt.strategy = "DelayStage";
+    ropt.cluster.num_workers = 40;
+    ropt.threads = threads;
+    ropt.seed = 7;
+    const auto t0 = Clock::now();
+    const trace::ReplayResult r = trace::replay(jobs, ropt);
+    const double jobs_per_sec =
+        1000.0 * static_cast<double>(jobs.size()) / ms_since(t0);
+
+    if (reference_jct < 0) reference_jct = r.mean_jct();
+    DS_CHECK_MSG(r.mean_jct() == reference_jct,
+                 "replay result depends on thread count");
+    if (threads == 1) {
+      one_thread_jobs_per_sec = jobs_per_sec;
+      check_floor("replay jobs/s", jobs_per_sec, kReplayJobsPerSecFloor);
+    }
+    rt.add_row({static_cast<std::int64_t>(threads), jobs_per_sec,
+                jobs_per_sec / one_thread_jobs_per_sec});
+  }
+
+  std::cout << "=== Planner throughput (DelayCalculator::compute) ===\n";
+  pt.print(std::cout);
+  std::cout << "\n=== Trace replay throughput (" << jobs.size()
+            << " jobs, DelayStage planning per job) ===\n";
+  rt.print(std::cout);
+  std::cout << '\n';
+}
+
+// CPU seconds consumed by the calling thread (the whole engine run).
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+// Observability overhead: the same engine simulation timed with obs off
+// (null sink — compiled in but disabled), metrics only (live registry
+// handles, tracer disabled), flight (metrics + the always-on
+// flight-recorder ring), telemetry (metrics + one registry snapshot per
+// workload run, the streaming-sink steady state), and full (metrics + span
+// tracing). Gated by a wall-clock throughput floor on the off mode and <3%
+// overhead ceilings on the instrumented modes.
+//
+// Overheads are paired: each of kRounds rounds runs every workload under
+// `off` and every instrumented mode back to back (one pair per workload and
+// round), and a mode's overhead is the median over pairs of its thread-CPU
+// time relative to the same pair's `off` run, so machine drift cancels
+// inside each pair. The off-mode floor is wall clock (the fastest round's
+// whole suite).
+void obs_overhead() {
+  constexpr double kOffRunsPerSecFloor = 0.9;
+  constexpr double kOverheadPctCeiling = 3.0;  // every instrumented mode
+  constexpr std::uint64_t kSeed = 42;
+  constexpr int kRounds = 10;
+
+  const auto suite = workloads::benchmark_suite();
+  const sim::ClusterSpec spec = sim::ClusterSpec::paper_prototype();
+
+  // Pre-plan every workload once: the planner's cost is not what this bench
+  // measures, and the plan for a given (dag, spec, seed) is deterministic.
+  std::vector<engine::SubmissionPlan> plans;
+  for (const auto& w : suite) {
+    sim::Simulator sim;
+    sim::Cluster cluster(sim, spec, kSeed);
+    plans.push_back(sched::make_strategy("DelayStage")->plan(w.dag, cluster));
+  }
+
+  // One sink per instrumented mode, reused across rounds so the steady state
+  // (warm rings, resolved cells, interned labels) is what gets timed.
+  obs::TracerOptions full_topt;
+  full_topt.enabled = true;
+  obs::FlightRecorderOptions flight_fopt;
+  flight_fopt.enabled = true;
+  obs::Observability metrics_only;
+  obs::Observability flight_obs(obs::TracerOptions{}, flight_fopt);
+  obs::Observability telemetry_obs;
+  obs::Observability full(full_topt);
+  std::ostringstream telemetry_out;
+  obs::TelemetrySink telemetry_sink(telemetry_out);
+  const std::string modes[] = {"off", "metrics", "flight", "telemetry", "full"};
+  constexpr std::size_t kModes = std::size(modes);
+  obs::Observability* sinks[] = {nullptr, &metrics_only, &flight_obs,
+                                 &telemetry_obs, &full};
+  obs::TelemetrySink* telem[] = {nullptr, nullptr, nullptr, &telemetry_sink,
+                                 nullptr};
+
+  auto run_job = [&](std::size_t i, obs::Observability* obs,
+                     obs::TelemetrySink* sink) {
+    sim::Simulator sim(obs);
+    sim::Cluster cluster(sim, spec, kSeed, obs);
+    engine::RunOptions opt;
+    opt.plan = plans[i];
+    opt.seed = kSeed;
+    opt.obs = obs;
+    opt.flight_job_id = i + 1;
+    engine::JobRun run(cluster, suite[i].dag, opt);
+    run.start();
+    sim.run();
+    DS_CHECK(run.finished() && !run.result().failed);
+    if (sink != nullptr) sink->snapshot(*obs, sim.now());
+    return run.result().jct;
+  };
+
+  // Each pair starts at a different mode (rotating by round and workload),
+  // so every mode runs in every position equally often. The simulated JCTs
+  // must not depend on the mode — observability is passive by contract.
+  std::vector<double> best(kModes, 1e300);  // fastest round's suite wall s
+  std::vector<std::vector<double>> paired(kModes);
+  std::vector<double> reference_jct(suite.size(), -1);
+  for (int round = 0; round < kRounds; ++round) {
+    telemetry_out.str("");  // discard last round's snapshots, keep buffer warm
+    std::vector<double> wall(kModes, 0);
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      std::vector<double> cpu(kModes);
+      for (std::size_t k = 0; k < kModes; ++k) {
+        const std::size_t m = (round + i + k) % kModes;
+        const auto t0 = Clock::now();
+        const double c0 = thread_cpu_s();
+        const Seconds jct = run_job(i, sinks[m], telem[m]);
+        cpu[m] = thread_cpu_s() - c0;
+        wall[m] += std::chrono::duration<double>(Clock::now() - t0).count();
+        if (reference_jct[i] < 0) reference_jct[i] = jct;
+        DS_CHECK_MSG(jct == reference_jct[i],
+                     "simulation result depends on obs mode");
+      }
+      for (std::size_t m = 1; m < kModes; ++m)
+        paired[m].push_back(100.0 * (cpu[m] - cpu[0]) / cpu[0]);
+    }
+    for (std::size_t m = 0; m < kModes; ++m)
+      best[m] = std::min(best[m], wall[m]);
+  }
+
+  TablePrinter t({"mode", "ms/suite", "runs/s", "overhead %"});
+  t.set_precision(2);
+  for (std::size_t m = 0; m < kModes; ++m) {
+    const double runs_per_sec = static_cast<double>(suite.size()) / best[m];
+    const double overhead_pct = m > 0 ? median(paired[m]) : 0;
+    t.add_row({modes[m], 1000.0 * best[m], runs_per_sec, overhead_pct});
+    if (m == 0)
+      check_floor("obs[off] runs/s", runs_per_sec, kOffRunsPerSecFloor);
+    else
+      check_ceiling("obs[" + modes[m] + "] overhead %", overhead_pct,
+                    kOverheadPctCeiling);
+  }
+  t.print(std::cout);
+  std::cout << "traced events: " << full.tracer.recorded() << " ("
+            << full.tracer.dropped() << " dropped), flight records: "
+            << flight_obs.flight.recorded() << " ("
+            << flight_obs.flight.dropped() << " dropped), telemetry snapshots: "
+            << telemetry_sink.snapshots() << "\n\n";
+}
+
+struct TickState {
+  sim::Simulator* sim = nullptr;
+  long remaining = 0;
+};
+
+void tick(TickState* t) {
+  if (t->remaining-- <= 0) return;
+  t->sim->schedule_after(1.0, [t] { tick(t); });
+}
+
+// Event-core and parallel-simulation throughput, in three sections:
+//   * queue  — raw EventQueue churn: self-rescheduling pop+push ticks, and
+//     the fabric's cancel+reschedule pattern. Guards the indexed-heap core.
+//   * engine — full JobRun ensembles across a ThreadPool of {1, 2, 8}
+//     shards: aggregate simulated events/s and runs/s. The 1-shard row is
+//     the single-thread floor; the multi-shard rows report the parallel
+//     speedup (informational — CI containers may have a single core).
+//   * replay — trace replay with engine validation: every job's planned
+//     schedule re-run through the discrete-event engine, fanned out across
+//     shards.
+// Every shard count must produce identical results before the numbers are
+// reported.
+void sim_throughput() {
+  constexpr double kQueueEventsPerSecFloor = 12000000;  // both scenarios
+  constexpr double kEngineEventsPerSecFloor = 8000;
+  constexpr double kEngineReplayJobsPerSecFloor = 90;
+  const int shard_counts[] = {1, 2, 8};
+
+  TablePrinter qt({"scenario", "events", "events/s"});
+  qt.set_precision(0);
+  auto queue_row = [&](const std::string& scenario, long events, double ms) {
+    const double events_per_sec = 1000.0 * static_cast<double>(events) / ms;
+    qt.add_row({scenario, static_cast<std::int64_t>(events), events_per_sec});
+    check_floor("queue[" + scenario + "] events/s", events_per_sec,
+                kQueueEventsPerSecFloor);
+  };
+  // --- Queue: self-rescheduling tick chain (pop + push per event).
+  {
+    constexpr long kEvents = 2'000'000;
+    sim::Simulator sim;
+    TickState t{&sim, 1000};
+    tick(&t);
+    sim.run();  // warm-up
+    t.remaining = kEvents;
+    tick(&t);
+    const auto t0 = Clock::now();
+    sim.run();
+    queue_row("tick_chain", kEvents, ms_since(t0));
+  }
+  // --- Queue: cancel + re-push churn (the fabric's reschedule pattern).
+  {
+    constexpr long kOps = 2'000'000;
+    sim::Simulator sim;
+    sim.schedule_after(1e15, [] {});
+    sim::EventId id = sim.schedule_after(1.0, [] {});
+    for (int i = 0; i < 8; ++i) {  // warm slab + free list
+      sim.cancel(id);
+      id = sim.schedule_after(1.0, [] {});
+    }
+    const auto t0 = Clock::now();
+    for (long i = 0; i < kOps; ++i) {
+      sim.cancel(id);
+      id = sim.schedule_after(1.0 + static_cast<double>(i), [] {});
+    }
+    queue_row("cancel_repush", kOps, ms_since(t0));
+  }
+
+  // --- Engine: LDA run ensembles across shard counts.
+  const auto dag = workloads::lda();
+  const auto spec = sim::ClusterSpec::paper_prototype();
+  constexpr std::size_t kRuns = 16;
+  auto run_one = [&](std::size_t i) -> std::pair<double, std::size_t> {
+    sim::Simulator sim;
+    sim::Cluster cluster(sim, spec, 42 + i);
+    engine::RunOptions opt;
+    opt.seed = 42 + i;
+    engine::JobRun run(cluster, dag, std::move(opt));
+    run.start();
+    sim.run();
+    return {run.result().jct, sim.events_processed()};
+  };
+
+  TablePrinter et({"shards", "runs/s", "events/s", "speedup vs 1"});
+  et.set_precision(2);
+  std::vector<double> reference_jcts;
+  double one_shard_events_per_sec = 0;
+  for (int shards : shard_counts) {
+    ThreadPool pool(shards);
+    std::vector<std::pair<double, std::size_t>> results(kRuns);
+    auto run_all = [&](std::size_t n) {
+      pool.parallel_for(n, [&](std::size_t i) { results[i] = run_one(i); });
+    };
+    run_all(2);  // warm-up
+    const auto t0 = Clock::now();
+    run_all(kRuns);
+    const double ms = ms_since(t0);
+
+    std::vector<double> jcts;
+    std::uint64_t events = 0;
+    for (const auto& [jct, ev] : results) {
+      jcts.push_back(jct);
+      events += ev;
+    }
+    if (reference_jcts.empty()) reference_jcts = jcts;
+    DS_CHECK_MSG(jcts == reference_jcts,
+                 "engine ensemble result depends on shard count");
+
+    const double events_per_sec = 1000.0 * static_cast<double>(events) / ms;
+    if (shards == 1) {
+      one_shard_events_per_sec = events_per_sec;
+      check_floor("engine[1 shard] events/s", events_per_sec,
+                  kEngineEventsPerSecFloor);
+    }
+    et.add_row({static_cast<std::int64_t>(shards),
+                1000.0 * static_cast<double>(kRuns) / ms, events_per_sec,
+                events_per_sec / one_shard_events_per_sec});
+  }
+
+  // --- Replay with engine validation across shard counts.
+  trace::SyntheticTraceOptions topt;
+  topt.num_jobs = 60;
+  topt.max_stages = 10;
+  topt.max_stage_time = 300;
+  topt.seed = 2018;
+  const auto jobs = trace::synthetic_trace(topt);
+  TablePrinter rt({"shards", "jobs/s"});
+  rt.set_precision(2);
+  std::vector<Seconds> reference_engine_jcts;
+  for (int shards : shard_counts) {
+    trace::ReplayOptions ropt;
+    ropt.strategy = "DelayStage";
+    ropt.threads = 1;
+    ropt.engine_validate = true;
+    ropt.engine_shards = shards;
+    ropt.seed = 7;
+    const auto t0 = Clock::now();
+    const trace::ReplayResult r = trace::replay(jobs, ropt);
+    const double jobs_per_sec =
+        1000.0 * static_cast<double>(jobs.size()) / ms_since(t0);
+
+    std::vector<Seconds> ejcts;
+    for (const auto& j : r.jobs) ejcts.push_back(j.engine_jct);
+    if (reference_engine_jcts.empty()) reference_engine_jcts = ejcts;
+    DS_CHECK_MSG(ejcts == reference_engine_jcts,
+                 "engine-validated replay depends on shard count");
+    if (shards == 1)
+      check_floor("engine_replay[1 shard] jobs/s", jobs_per_sec,
+                  kEngineReplayJobsPerSecFloor);
+    rt.add_row({static_cast<std::int64_t>(shards), jobs_per_sec});
+  }
+
+  std::cout << "=== Event queue churn ===\n";
+  qt.print(std::cout);
+  std::cout << "\n=== Engine ensembles (" << kRuns << " LDA runs) ===\n";
+  et.print(std::cout);
+  std::cout << "\n=== Engine-validated replay (" << jobs.size()
+            << " jobs) ===\n";
+  rt.print(std::cout);
+  std::cout << '\n';
+}
+
+// Plan-as-a-service throughput: plans/sec and per-request latency through
+// the PlanService, cold (every request computes a DelayCalculator plan) vs
+// warm (recurrent requests served from the sharded PlanCache). Gated by
+// cold/warm floors and the headline warm-vs-cold speedup.
+//
+// The stream models a recurrent-job service: a pool of distinct workloads
+// (the §5 suite at several volume scales), each requested many times. Warm
+// hits are DS_CHECKed bit-identical to the cold plans they memoized — the
+// speedup must never come from answering a different plan.
+void plan_service() {
+  constexpr double kColdPlansPerSecFloor = 25;
+  constexpr double kWarmPlansPerSecFloor = 400000;
+  constexpr double kWarmSpeedupFloor = 25;
+
+  // The workload pool: the benchmark suite at 4 volume scales → 4 × suite
+  // distinct signatures, each a genuinely different planning problem.
+  constexpr double kScales[] = {0.8, 1.0, 1.2, 1.5};
+  std::vector<dag::JobDag> jobs;
+  for (const double scale : kScales)
+    for (auto& w : workloads::benchmark_suite(scale))
+      jobs.push_back(std::move(w.dag));
+  const sim::ClusterSpec spec = sim::ClusterSpec::paper_prototype();
+  std::vector<core::JobProfile> profiles;
+  profiles.reserve(jobs.size());
+  for (const auto& j : jobs)
+    profiles.push_back(core::JobProfile::from(j, spec));
+
+  store::PlanServiceOptions sopt;
+  store::PlanService service(sopt);
+
+  TablePrinter t({"mode", "requests", "plans/s", "p50 ms", "p99 ms",
+                  "hit rate"});
+  t.set_precision(3);
+  // Adds one mode's row; returns its plans/s.
+  auto add_row = [&](const std::string& mode, std::vector<double>& latencies,
+                     double total_ms, double hit_rate) {
+    std::sort(latencies.begin(), latencies.end());
+    const double plans_per_sec =
+        1000.0 * static_cast<double>(latencies.size()) / total_ms;
+    t.add_row({mode, static_cast<std::int64_t>(latencies.size()),
+               plans_per_sec, metrics::percentile(latencies, 50),
+               metrics::percentile(latencies, 99), hit_rate});
+    return plans_per_sec;
+  };
+
+  // --- Cold: every request is a distinct never-seen (signature, bucket), so
+  // each one runs the full DelayCalculator. Several passes with the cache
+  // invalidated in between keep the sample size honest.
+  constexpr int kColdPasses = 4;
+  std::vector<double> cold_lat;
+  std::vector<core::DelaySchedule> reference;
+  double cold_ms = 0;
+  for (int pass = 0; pass < kColdPasses; ++pass) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const std::uint64_t sig = core::workload_signature(jobs[i]);
+      service.cache().invalidate_signature(sig);
+      const auto t0 = Clock::now();
+      const auto planned = service.plan(jobs[i], profiles[i]);
+      const double ms = ms_since(t0);
+      cold_ms += ms;
+      cold_lat.push_back(ms);
+      DS_CHECK_MSG(!planned.cache_hit, "cold request hit the cache");
+      if (pass == 0) reference.push_back(*planned.plan);
+    }
+  }
+  const double cold = add_row("cold", cold_lat, cold_ms, 0.0);
+
+  // --- Warm: the recurrent stream. The last cold pass left every workload
+  // cached; requests round-robin the pool and must all hit.
+  const std::size_t kWarmRequests = 20000;
+  std::vector<double> warm_lat;
+  warm_lat.reserve(kWarmRequests);
+  const std::uint64_t hits_before = service.cache().hits();
+  double warm_ms = 0;
+  for (std::size_t r = 0; r < kWarmRequests; ++r) {
+    const std::size_t i = r % jobs.size();
+    const auto t0 = Clock::now();
+    const auto planned = service.plan(jobs[i], profiles[i]);
+    const double ms = ms_since(t0);
+    warm_ms += ms;
+    warm_lat.push_back(ms);
+    DS_CHECK_MSG(planned.cache_hit, "warm request missed the cache");
+    // The memoized plan must be the cold plan, bit for bit.
+    DS_CHECK_MSG(planned.plan->delay == reference[i].delay,
+                 "warm plan differs from the cold plan");
+    DS_CHECK_MSG(
+        planned.plan->predicted_makespan == reference[i].predicted_makespan,
+        "warm plan predicts a different makespan");
+  }
+  const double warm_hit_rate =
+      static_cast<double>(service.cache().hits() - hits_before) /
+      static_cast<double>(kWarmRequests);
+  const double warm = add_row("warm", warm_lat, warm_ms, warm_hit_rate);
+
+  std::cout << "=== Plan-as-a-service throughput (" << jobs.size()
+            << " distinct workloads) ===\n";
+  t.print(std::cout);
+  std::cout << "\nwarm/cold speedup: " << warm / cold << "x\n\n";
+  check_floor("plan_service[cold] plans/s", cold, kColdPlansPerSecFloor);
+  check_floor("plan_service[warm] plans/s", warm, kWarmPlansPerSecFloor);
+  check_floor("plan_service warm/cold speedup", warm / cold,
+              kWarmSpeedupFloor);
+}
+
+// Adds the row of one DelayCalculator timing on `profile`: one warm-up
+// plan, then construction + compute() repeated until at least 0.5 s has
+// elapsed; the row reads the mean ms per plan.
+void time_compute(TablePrinter& t, TablePrinter::Cell label,
+                  const core::JobProfile& profile,
+                  const core::CalculatorOptions& copt) {
+  std::uint64_t evaluations =
+      core::DelayCalculator(profile, copt).compute().evaluations;
+  int reps = 0;
+  double ms = 0;
+  const auto t0 = Clock::now();
+  while (ms < 500.0) {
+    const core::DelayCalculator calc(profile, copt);
+    evaluations = calc.compute().evaluations;
+    ++reps;
+    ms = ms_since(t0);
+  }
+  t.add_row({std::move(label), ms / reps,
+             static_cast<std::int64_t>(evaluations)});
+}
+
+// Fig. 15 + §5.4 — runtime overhead of the DelayStage calculator (Alg. 1):
+// per-workload strategy times and the (roughly linear) scaling of the
+// computation time with the number of stages in a job. No limits.
+void fig15() {
+  // §5.4: strategy execution time for the four prototype workloads
+  // (paper: 58 / 76 / 107 / 164 ms on an m4.large).
+  std::cout << "=== Sec. 5.4: DelayCalculator time per workload ===\n";
+  const auto proto = sim::ClusterSpec::paper_prototype();
+  TablePrinter wt({"workload", "ms/plan", "evals"});
+  for (const auto& w : workloads::benchmark_suite())
+    time_compute(wt, w.name, core::JobProfile::from(w.dag, proto), {});
+  wt.print(std::cout);
+
+  // Fig. 15: computation time vs #stages on trace-shaped jobs (4..186
+  // stages). Paper: roughly linear, <0.2 s for jobs under 15 stages.
+  std::cout << "\n=== Fig. 15: DelayCalculator time vs #stages ===\n";
+  sim::ClusterSpec sub = sim::ClusterSpec::paper_simulation();
+  sub.num_workers = 2;  // the replay's per-job sub-cluster
+  trace::ReferenceRates ref;
+  ref.nic_bw = 0.5 * (sub.nic_bw_min + sub.nic_bw_max);
+  ref.disk_bw = sub.disk_bw;
+  ref.num_workers = sub.num_workers;
+  ref.executors = static_cast<double>(sub.total_executors());
+  TablePrinter st({"stages", "ms/plan", "evals"});
+  for (const int n_stages : {4, 8, 15, 30, 60, 100, 150, 186}) {
+    trace::SyntheticTraceOptions topt;
+    topt.num_jobs = 1;
+    topt.min_stages = n_stages;
+    topt.max_stages = n_stages;
+    topt.chain_fraction = 0.0;
+    topt.seed = static_cast<std::uint64_t>(2018 + n_stages);
+    const auto jobs = trace::synthetic_trace(topt);
+    const dag::JobDag dag = trace::to_job_dag(jobs[0], ref);
+
+    Seconds span = 1.0;
+    for (const auto& s : jobs[0].stages)
+      span += s.read_solo + s.compute_solo + s.write_solo;
+    core::CalculatorOptions copt;
+    copt.slot = std::max(1.0, span / 150.0);
+    copt.step = copt.slot;
+    copt.coarse_candidates = 12;
+    copt.sweeps = 1;
+    time_compute(st, static_cast<std::int64_t>(n_stages),
+                 core::JobProfile::from(dag, sub), copt);
+  }
+  st.print(std::cout);
+  std::cout << '\n';
+}
+
+struct Entry {
+  const char* name;
+  const char* measures;
+  void (*run)();
+};
+
+// Table order is the order of `bench_perf all`.
+const Entry kEntries[] = {
+    {"planner", "planner evals/s and trace replay jobs/s (gated)", planner},
+    {"obs", "engine runs/s with obs off, overhead per obs mode (gated)",
+     obs_overhead},
+    {"sim", "event queue, engine and engine-replay throughput (gated)",
+     sim_throughput},
+    {"plan_service", "cold and warm plans/s, warm speedup (gated)",
+     plan_service},
+    {"fig15", "Fig. 15 / Sec. 5.4: Alg. 1 computation time", fig15},
+};
+
+void print_entries(std::ostream& os) {
+  os << "usage: bench_perf <entry>... | all | help\n\nentries:\n";
+  for (const Entry& e : kEntries)
+    os << "  " << std::left << std::setw(14) << e.name << e.measures << '\n';
+}
+
+}  // namespace
+}  // namespace ds::bench
+
+int main(int argc, char** argv) {
+  using ds::bench::Entry;
+  using ds::bench::kEntries;
+  std::vector<const Entry*> todo;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "help") {
+      ds::bench::print_entries(std::cout);
+      return 0;
+    }
+    const std::size_t before = todo.size();
+    for (const Entry& e : kEntries)
+      if (arg == "all" || arg == e.name) todo.push_back(&e);
+    if (todo.size() == before) {
+      std::cerr << "unknown entry '" << arg << "'\n";
+      ds::bench::print_entries(std::cerr);
+      return 2;
+    }
+  }
+  if (todo.empty()) {
+    ds::bench::print_entries(std::cerr);
+    return 2;
+  }
+  int missed = 0;
+  for (const Entry* e : todo) {
+    e->run();
+    missed += ds::bench::report_checks();
+  }
+  return missed > 0 ? 1 : 0;
+}

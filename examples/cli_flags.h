@@ -4,10 +4,9 @@
 // --telemetry-out/--telemetry-period/--slo) identically, and dispatches
 // through one registry.
 //
-// Subcommand registry: the canonical commands (plan / run / report / trace /
-// serve / sched / demo) are declared once here — name, operand synopsis and
-// summary — and the binary binds run functions to them via
-// std_subcommand(), then hands the table to dispatch().
+// Subcommand registry: the binary declares each command once — name,
+// operand synopsis, summary and run function — and hands the table to
+// dispatch().
 //
 // ObsSink owns the per-invocation obs::Observability: construct it from the
 // parsed flags, hand sink.get() to CommonOptions::obs, and call flush() once
@@ -154,38 +153,6 @@ struct Subcommand {
   std::string summary;   // one help line
   int (*run)(int argc, char** argv) = nullptr;
 };
-
-// The canonical subcommand surface, declared once with its help text; the
-// binary binds a run function to each. Unknown names are an error (catches
-// typos at registry setup).
-inline Subcommand std_subcommand(const std::string& name,
-                                 int (*run)(int, char**)) {
-  static const Subcommand kStandard[] = {
-      {"plan", "[job.spec] [flags]",
-       "compute the DelayStage schedule and print it", nullptr},
-      {"run", "[job.spec] [flags]",
-       "execute one job on the simulated cluster", nullptr},
-      {"report", "[job.spec] [flags]",
-       "plan + execute, then print model-drift and interleaving analytics",
-       nullptr},
-      {"trace", "[batch_task.csv] [flags]",
-       "trace statistics plus a Fuxi vs DelayStage replay", nullptr},
-      {"serve", "[flags]",
-       "plan-as-a-service daemon: NDJSON requests on stdin", nullptr},
-      {"sched", "[flags]",
-       "online multi-job scheduler: a job stream on one shared cluster",
-       nullptr},
-      {"demo", "", "print a sample job spec", nullptr},
-  };
-  for (const Subcommand& c : kStandard) {
-    if (c.name == name) {
-      Subcommand bound = c;
-      bound.run = run;
-      return bound;
-    }
-  }
-  throw std::logic_error("std_subcommand: unknown subcommand '" + name + "'");
-}
 
 inline void print_usage(std::ostream& os, const std::string& prog,
                         const std::vector<Subcommand>& cmds) {

@@ -854,14 +854,23 @@ int sub_sched(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     using namespace ds;
-    return cli::dispatch(argc, argv,
-                         {cli::std_subcommand("plan", sub_plan),
-                          cli::std_subcommand("run", sub_run),
-                          cli::std_subcommand("report", sub_report),
-                          cli::std_subcommand("trace", sub_trace),
-                          cli::std_subcommand("serve", sub_serve),
-                          cli::std_subcommand("sched", sub_sched),
-                          cli::std_subcommand("demo", sub_demo)});
+    return cli::dispatch(
+        argc, argv,
+        {{"plan", "[job.spec] [flags]",
+          "compute the DelayStage schedule and print it", sub_plan},
+         {"run", "[job.spec] [flags]",
+          "execute one job on the simulated cluster", sub_run},
+         {"report", "[job.spec] [flags]",
+          "plan + execute, then print model-drift and interleaving analytics",
+          sub_report},
+         {"trace", "[batch_task.csv] [flags]",
+          "trace statistics plus a Fuxi vs DelayStage replay", sub_trace},
+         {"serve", "[flags]",
+          "plan-as-a-service daemon: NDJSON requests on stdin", sub_serve},
+         {"sched", "[flags]",
+          "online multi-job scheduler: a job stream on one shared cluster",
+          sub_sched},
+         {"demo", "", "print a sample job spec", sub_demo}});
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;

@@ -1,11 +1,8 @@
 // ds::CommonOptions — the shared facade every options struct embeds.
 //
-// RunOptions, CalculatorOptions, ReplayOptions and SyntheticTraceOptions had
-// drifted into duplicated, inconsistently defaulted knobs (threads in two of
-// four, seed in three, 0-means-auto normalized in the CLIs only). They now
-// all *inherit* CommonOptions, which:
-//   * keeps the old spellings compiling (`opt.threads`, `opt.seed` are the
-//     base members — the deprecated aliases DESIGN.md §9 documents);
+// RunOptions, CalculatorOptions, ReplayOptions, SyntheticTraceOptions and
+// SchedulerOptions all *inherit* CommonOptions, so `opt.threads`, `opt.seed`
+// and `opt.obs` are spelled and defaulted the same everywhere. The base:
 //   * normalizes 0/negative-means-hardware-concurrency in exactly one place
 //     (resolved_threads());
 //   * carries the observability sink (obs) that sim/, engine/, core/ and
@@ -44,10 +41,6 @@ struct CommonOptions {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
   }
-
-  // Explicit access to the shared slice of a derived options struct.
-  CommonOptions& common() { return *this; }
-  const CommonOptions& common() const { return *this; }
 };
 
 }  // namespace ds

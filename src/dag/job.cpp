@@ -1,6 +1,7 @@
 #include "dag/job.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 
 #include "util/check.h"
@@ -11,6 +12,15 @@ JobDag::JobDag(std::string name) : name_(std::move(name)) {}
 
 StageId JobDag::add_stage(Stage spec) {
   DS_CHECK_MSG(spec.num_tasks > 0, "stage '" << spec.name << "' needs tasks");
+  // Every builder (spec text, NDJSON workloads, trace DAGs) passes through
+  // here, so an infinite or NaN input is rejected before the planner or the
+  // engine can loop on it.
+  DS_CHECK_MSG(std::isfinite(spec.input_bytes) &&
+                   std::isfinite(spec.output_bytes) &&
+                   std::isfinite(spec.process_rate) &&
+                   std::isfinite(spec.task_skew),
+               "non-finite volume, rate or skew in stage '" << spec.name
+                                                            << "'");
   DS_CHECK_MSG(spec.input_bytes >= 0 && spec.output_bytes >= 0,
                "negative volume in stage '" << spec.name << "'");
   DS_CHECK_MSG(spec.process_rate >= 0,

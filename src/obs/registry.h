@@ -6,7 +6,7 @@
 // export. A default-constructed handle is *disabled*: every update is one
 // null-pointer branch, which is what every subsystem holds when the caller
 // passed no Observability sink (the compiled-in-but-off path measured by
-// bench_obs_overhead).
+// `bench_perf obs`).
 //
 // Histograms use fixed ascending bucket upper bounds (choose them with
 // linear_buckets/exponential_buckets); samples are assumed non-negative

@@ -3,7 +3,7 @@
 // Two sources, matching how the paper's §5.3 trace experiments are driven:
 //   * Poisson — i.i.d. exponential inter-arrival gaps at a target rate, the
 //     standard open-loop load generator ("arrival intensity" in the
-//     bench_multijob ablation is this rate).
+//     `bench_paper sched` ablation is this rate).
 //   * Trace-driven — inter-arrival gaps replayed from real submit
 //     timestamps (e.g. the Alibaba batch_task table via
 //     trace::parse_batch_task_file, or the calibrated synthetic trace),

@@ -1,6 +1,7 @@
 #include "service/ndjson.h"
 
 #include <exception>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -104,26 +105,33 @@ Status parse_request(const std::string& line, Request* req) {
       (spec != nullptr && !spec->is_string()))
     return Status::error(
         "request needs exactly one of \"workload\" or \"spec\"");
-  if (workload != nullptr) {
-    double scale = 1.0;
-    if (const json::Value* v = o.find("scale"); v != nullptr)
-      scale = v->num_or(scale);
-    if (scale <= 0) return Status::error("\"scale\" must be positive");
-    if (const Status st =
-            build_workload(workload->str_or(""), scale, &req->dag);
-        !st.is_ok())
-      return st;
-  } else {
-    try {
+  // A DAG that fails its own checks (a non-finite volume from a huge
+  // "scale" or from the spec text) is an error response, not a crash.
+  try {
+    if (workload != nullptr) {
+      double scale = 1.0;
+      if (const json::Value* v = o.find("scale"); v != nullptr)
+        scale = v->num_or(scale);
+      if (scale <= 0) return Status::error("\"scale\" must be positive");
+      if (const Status st =
+              build_workload(workload->str_or(""), scale, &req->dag);
+          !st.is_ok())
+        return st;
+    } else {
       req->dag = dag::load_job_spec_text(spec->str_or(""));
-    } catch (const std::exception& e) {
-      return Status::error(e.what());
     }
+  } catch (const std::exception& e) {
+    return Status::error(e.what());
   }
   if (const json::Value* v = o.find("arrival"); v != nullptr)
     req->arrival = v->num_or(-1);
-  if (const json::Value* v = o.find("priority"); v != nullptr)
-    req->priority = static_cast<int>(v->int_or(0));
+  if (const json::Value* v = o.find("priority"); v != nullptr) {
+    const double priority = v->num_or(0);
+    if (!(priority >= std::numeric_limits<int>::min() &&
+          priority <= std::numeric_limits<int>::max()))
+      return Status::error("\"priority\" must fit in an int");
+    req->priority = static_cast<int>(priority);
+  }
   return Status::ok();
 }
 

@@ -71,7 +71,7 @@ struct SchedulerOptions : CommonOptions {
   // Cross-job ordering policy for the admission queue.
   service::OrderPolicy policy = service::OrderPolicy::kFifo;
   // DelayStage planning on admission; false = zero-delay stock baseline
-  // (the bench_multijob ablation's control arm).
+  // (the `bench_paper sched` ablation's control arm).
   bool plan_delays = true;
   // Plan-service backing the admission planner (cache shards/capacity,
   // profile store path, calculator tuning). threads/seed/obs inside

@@ -1,7 +1,10 @@
 #include "trace/alibaba.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -22,23 +25,25 @@ struct RawTask {
   Seconds end = 0;
 };
 
+// Task numbers, instance counts and stage indices are ints.
+constexpr auto kMaxInt =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+
 // Decode "R3_1" style names: leading letters, a task number, then parent
-// numbers separated by underscores. Returns false for non-conforming names.
-bool decode_task_name(std::string_view name, int& task_num,
-                      std::vector<int>& parents) {
+// numbers separated by underscores, into `numbers` (task number first).
+// Returns false for non-conforming names.
+bool decode_task_name(std::string_view name,
+                      std::vector<std::uint64_t>& numbers) {
   std::size_t i = 0;
   while (i < name.size() && std::isalpha(static_cast<unsigned char>(name[i])))
     ++i;
   if (i == 0 || i >= name.size()) return false;
-  const auto fields = split(name.substr(i), '_');
-  std::uint64_t v = 0;
-  if (!parse_u64(fields[0], v)) return false;
-  task_num = static_cast<int>(v);
-  parents.clear();
-  for (std::size_t f = 1; f < fields.size(); ++f) {
+  numbers.clear();
+  for (const std::string& field : split(name.substr(i), '_')) {
     // Some task names carry trailing non-numeric annotations; stop there.
-    if (!parse_u64(fields[f], v)) return false;
-    parents.push_back(static_cast<int>(v));
+    std::uint64_t v = 0;
+    if (!parse_u64(field, v)) return false;
+    numbers.push_back(v);
   }
   return true;
 }
@@ -53,6 +58,7 @@ std::vector<TraceJob> parse_batch_task(std::istream& in,
   std::map<std::string, std::vector<RawTask>> jobs;
 
   std::string line;
+  std::vector<std::uint64_t> numbers;
   while (std::getline(in, line)) {
     const std::string_view trimmed = trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
@@ -65,18 +71,29 @@ std::vector<TraceJob> parse_batch_task(std::istream& in,
     RawTask t;
     t.name = f[0];
     std::uint64_t inst = 1;
-    if (parse_u64(trim(f[1]), inst)) t.instances = static_cast<int>(inst);
+    if (parse_u64(trim(f[1]), inst)) {
+      if (inst > kMaxInt) {
+        ++local.bad_rows;
+        continue;
+      }
+      t.instances = static_cast<int>(inst);
+    }
     const std::string& job_name = f[2];
     double start = 0, end = 0;
-    if (!parse_double(trim(f[5]), start) || !parse_double(trim(f[6]), end)) {
+    if (!parse_double(trim(f[5]), start) || !parse_double(trim(f[6]), end) ||
+        !std::isfinite(start) || !std::isfinite(end)) {
       ++local.bad_rows;
       continue;
     }
     t.start = start;
     t.end = end;
-    if (!decode_task_name(t.name, t.task_num, t.parents)) {
-      t.task_num = -1;
-      t.parents.clear();
+    if (decode_task_name(t.name, numbers)) {
+      if (*std::max_element(numbers.begin(), numbers.end()) > kMaxInt) {
+        ++local.bad_rows;
+        continue;
+      }
+      t.task_num = static_cast<int>(numbers.front());
+      t.parents.assign(numbers.begin() + 1, numbers.end());
     }
     jobs[job_name].push_back(std::move(t));
   }

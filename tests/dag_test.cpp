@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "dag/job.h"
 #include "util/check.h"
@@ -118,6 +119,25 @@ TEST(JobDag, RejectsInvalidConstruction) {
   Stage s = mk("zero-tasks");
   s.num_tasks = 0;
   EXPECT_THROW(j.add_stage(s), CheckError);
+}
+
+TEST(JobDag, RejectsNonFiniteStageValues) {
+  JobDag j("bad");
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Stage s = mk("s");
+  s.input_bytes = inf;
+  EXPECT_THROW(j.add_stage(s), CheckError);
+  s = mk("s");
+  s.output_bytes = inf;
+  EXPECT_THROW(j.add_stage(s), CheckError);
+  s = mk("s");
+  s.process_rate = nan;
+  EXPECT_THROW(j.add_stage(s), CheckError);
+  s = mk("s");
+  s.task_skew = inf;
+  EXPECT_THROW(j.add_stage(s), CheckError);
+  EXPECT_EQ(j.num_stages(), 0);
 }
 
 TEST(Stage, DerivedPerTaskQuantities) {

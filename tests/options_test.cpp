@@ -29,15 +29,15 @@ TEST(CommonOptions, ResolvedThreadsNormalizesZeroAndNegative) {
 }
 
 TEST(CommonOptions, DerivedStructsInheritTheSharedFields) {
-  // The pre-refactor spellings must keep compiling: threads/seed now live in
-  // the CommonOptions base, and common() exposes the base for shared helpers.
+  // threads/seed live in the CommonOptions base, so a shared helper that
+  // takes a CommonOptions& sees and sets the derived struct's fields.
   core::CalculatorOptions copt;
   copt.threads = 3;
   copt.seed = 9;
   copt.obs = nullptr;
-  EXPECT_EQ(copt.common().threads, 3);
-  EXPECT_EQ(copt.common().seed, 9u);
-  copt.common().threads = 4;
+  EXPECT_EQ(static_cast<CommonOptions&>(copt).threads, 3);
+  EXPECT_EQ(static_cast<CommonOptions&>(copt).seed, 9u);
+  static_cast<CommonOptions&>(copt).threads = 4;
   EXPECT_EQ(copt.threads, 4);
 
   trace::ReplayOptions ropt;
@@ -45,7 +45,7 @@ TEST(CommonOptions, DerivedStructsInheritTheSharedFields) {
   EXPECT_EQ(ropt.resolved_threads(), 2);
   trace::SyntheticTraceOptions topt;
   topt.seed = 77;
-  EXPECT_EQ(topt.common().seed, 77u);
+  EXPECT_EQ(static_cast<CommonOptions&>(topt).seed, 77u);
 }
 
 TEST(CommonOptions, SyntheticTraceSeedLivesInOptions) {

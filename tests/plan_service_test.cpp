@@ -528,6 +528,31 @@ TEST(PlanDaemon, MalformedLinesGetErrorResponsesNotCrashes) {
   EXPECT_TRUE(err);
 }
 
+TEST(PlanDaemon, NonFiniteRequestsGetErrorResponsesNotStalls) {
+  // An infinite volume (spec text) or one that overflows to infinity
+  // (scale 1e300) must not stall the daemon: both get error responses and
+  // the next request still plans.
+  PlanDaemon daemon(DaemonOptions{});
+  std::istringstream in(
+      "{\"id\": 1, \"spec\": \"job,x\\nstage,s,30,inf,2.5,2,0\"}\n"
+      "{\"id\": 2, \"workload\": \"lda\", \"scale\": 1e300}\n" +
+      plan_request(3, diamond()) + "\n");
+  std::ostringstream out;
+  const DaemonStats stats = daemon.serve(in, out);
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.errors, 2u);
+  EXPECT_EQ(stats.plans, 1u);
+
+  std::istringstream lines(out.str());
+  std::string line;
+  for (int id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_NE(line.find("\"id\": " + std::to_string(id)), std::string::npos)
+        << line;
+    EXPECT_EQ(line.find("\"error\"") != std::string::npos, id < 3) << line;
+  }
+}
+
 TEST(PlanDaemon, ServeKeepsResponseOrderAcrossABatch) {
   DaemonOptions dopt;
   dopt.threads = 4;

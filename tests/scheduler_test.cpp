@@ -331,6 +331,28 @@ TEST(SchedNdjson, RejectsBadVersionAndMalformedRequests) {
                    .is_ok());
 }
 
+TEST(SchedNdjson, RejectsOutOfRangeNumbers) {
+  // 2^32 + 1 must not wrap to priority 1, and a non-finite volume is an
+  // error status for either DAG source.
+  service::Request r;
+  EXPECT_FALSE(service::parse_request(
+                   R"({"workload": "lda", "priority": 4294967297})", &r)
+                   .is_ok());
+  EXPECT_FALSE(service::parse_request(
+                   R"({"workload": "lda", "priority": -4294967297})", &r)
+                   .is_ok());
+  EXPECT_FALSE(service::parse_request(
+                   R"({"workload": "lda", "scale": 1e300})", &r)
+                   .is_ok());
+  EXPECT_FALSE(service::parse_request(
+                   R"({"spec": "stage,s,4,1e400,2.0,0.5,0.1"})", &r)
+                   .is_ok());
+  ASSERT_TRUE(service::parse_request(
+                  R"({"workload": "lda", "priority": -2147483648})", &r)
+                  .is_ok());
+  EXPECT_EQ(r.priority, -2147483647 - 1);
+}
+
 TEST(SchedNdjson, ParsesStatsAndSaveCommands) {
   service::Request r;
   ASSERT_TRUE(service::parse_request(R"({"cmd": "save"})", &r).is_ok());

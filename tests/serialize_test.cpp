@@ -55,6 +55,22 @@ TEST(JobSpec, RejectsMalformedInput) {
       CheckError);  // cycle
 }
 
+TEST(JobSpec, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // An infinite volume would keep the planner busy forever, and 2^32 + 1
+  // tasks must not wrap to a 1-task stage.
+  EXPECT_THROW(load_job_spec_text("stage,x,4,inf,1,1,0\n"), CheckError);
+  EXPECT_THROW(load_job_spec_text("stage,x,4,1e400,1,1,0\n"), CheckError);
+  EXPECT_THROW(load_job_spec_text("stage,x,4,1,inf,1,0\n"), CheckError);
+  EXPECT_THROW(load_job_spec_text("stage,x,4,1,1,inf,0\n"), CheckError);
+  EXPECT_THROW(load_job_spec_text("stage,x,4,1,1,1,inf\n"), CheckError);
+  EXPECT_THROW(load_job_spec_text("stage,x,4294967297,1,1,1,0\n"),
+               CheckError);
+  EXPECT_EQ(load_job_spec_text("stage,x,2147483647,1,1,1,0\n")
+                .stage(0)
+                .num_tasks,
+            2147483647);
+}
+
 TEST(JobSpec, CommentsAndBlankLinesIgnored) {
   const JobDag j = load_job_spec_text(
       "\n# header\n\nstage,only,4,1.0,1.0,0.5,0\n\n# trailing\n");

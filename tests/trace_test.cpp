@@ -120,6 +120,23 @@ TEST(AlibabaParser, CountsMalformedRows) {
   EXPECT_EQ(st.bad_rows, 2u);
 }
 
+TEST(AlibabaParser, CountsNonFiniteAndOutOfRangeRowsAsMalformed) {
+  // An infinite end time would keep the replay busy forever, and 2^32 + 1
+  // instances (or task numbers) must not wrap to 1.
+  const std::string csv =
+      "M1,1,job_a,A,Terminated,100,inf,100,0.5\n"
+      "M1,4294967297,job_b,A,Terminated,100,200,100,0.5\n"
+      "M4294967297,1,job_c,A,Terminated,100,200,100,0.5\n"
+      "R2_4294967297,1,job_d,A,Terminated,100,200,100,0.5\n"
+      "M1,2147483647,job_ok,A,Terminated,100,200,100,0.5\n";
+  AlibabaParseStats st;
+  const auto jobs = parse_batch_task_text(csv, &st);
+  EXPECT_EQ(st.bad_rows, 4u);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].name, "job_ok");
+  EXPECT_EQ(jobs[0].stages[0].num_tasks, 2147483647);
+}
+
 TEST(Synthetic, DeterministicForSeed) {
   SyntheticTraceOptions opt;
   opt.num_jobs = 50;
