@@ -51,7 +51,9 @@
 // Each finished job prints one NDJSON line on stdout; the fleet summary
 // (wait, slowdown, p99 JCT, cache hit rate) goes to stderr, and
 // --report-out writes it as JSON. --no-delay disables DelayStage planning
-// (the ablation baseline); --policy picks the cross-job ordering.
+// (the ablation baseline); --policy picks the cross-job ordering. --store
+// loads the profile store before the stream and saves what the stream's
+// runs taught the calibrator after the drain (`serve --store` reads it).
 //
 // Adaptive planning: --quantile Q (0 < Q < 1) makes the planner target the
 // Q-th quantile of each stage's straggler distribution instead of the
@@ -618,6 +620,8 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
   }
 
   sched.drain();
+  if (const Status s = sched.plans().save(); !s.is_ok())
+    std::cerr << "warning: " << s.message() << '\n';
 
   const FleetStats fs = sched.fleet();
   for (service::JobId id = 1; id <= fs.submitted; ++id)

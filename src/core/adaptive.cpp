@@ -7,13 +7,10 @@
 namespace ds::core {
 
 AdaptivePlanner::AdaptivePlanner(const JobProfile& base,
-                                 AdaptiveOptions options,
-                                 ModelCalibrator* calibrator)
+                                 AdaptiveOptions options)
     : base_(base),
       calibrated_(base),
       opt_(std::move(options)),
-      owned_(opt_.calibration),
-      calibrator_(calibrator != nullptr ? calibrator : &owned_),
       sig_(workload_signature(*base.dag)) {
   DS_CHECK_MSG(base.dag != nullptr, "AdaptivePlanner needs a profiled DAG");
   const Status st = validate(opt_.calculator);
@@ -21,7 +18,7 @@ AdaptivePlanner::AdaptivePlanner(const JobProfile& base,
 }
 
 const DelaySchedule& AdaptivePlanner::plan() {
-  calibrated_ = calibrated_profile(base_, calibrator_->factors(sig_));
+  calibrated_ = calibrated_profile(base_, calibrator_.factors(sig_));
   last_ = DelayCalculator(calibrated_, opt_.calculator).compute();
   planned_ = true;
   return last_;
@@ -47,7 +44,7 @@ void AdaptivePlanner::arm(engine::RunOptions& ro) {
 
 void AdaptivePlanner::observe(const engine::JobResult& result) {
   DS_CHECK_MSG(planned_, "AdaptivePlanner::observe() requires a prior plan()");
-  calibrator_->observe(sig_, observe_run(last_, result));
+  calibrator_.observe(sig_, observe_run(last_, result));
 }
 
 engine::ReplanDecision AdaptivePlanner::replan(
@@ -57,7 +54,7 @@ engine::ReplanDecision AdaptivePlanner::replan(
 
   // Re-profile against what the cluster looks like *now*: freshest
   // calibration factors, and the worker count the crash left alive.
-  JobProfile prof = calibrated_profile(base_, calibrator_->factors(sig_));
+  JobProfile prof = calibrated_profile(base_, calibrator_.factors(sig_));
   if (req.live_workers > 0 && req.live_workers < prof.cluster.num_workers)
     prof.cluster.num_workers = std::max(1, req.live_workers);
 

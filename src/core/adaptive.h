@@ -33,7 +33,6 @@ namespace ds::core {
 
 struct AdaptiveOptions {
   CalculatorOptions calculator;
-  CalibrationOptions calibration;
   // Default-constructed = replanning off: arm() then installs only the plan
   // and the run is bit-identical to a plain DelayCalculator plan.
   engine::ReplanPolicy replan;
@@ -41,11 +40,9 @@ struct AdaptiveOptions {
 
 class AdaptivePlanner {
  public:
-  // `base.dag` must outlive the planner. `calibrator` (optional) shares
-  // correction state across planners — e.g. one store for a whole trace
-  // replay; null = the planner owns a private calibrator.
-  explicit AdaptivePlanner(const JobProfile& base, AdaptiveOptions options = {},
-                           ModelCalibrator* calibrator = nullptr);
+  // `base.dag` must outlive the planner.
+  explicit AdaptivePlanner(const JobProfile& base,
+                           AdaptiveOptions options = {});
 
   // Plan on the calibrated profile. Identity calibration (never-observed
   // workload) makes this bit-identical to DelayCalculator on `base`.
@@ -63,16 +60,13 @@ class AdaptivePlanner {
   engine::ReplanDecision replan(const engine::ReplanRequest& req);
 
   const DelaySchedule& last_plan() const { return last_; }
-  CalibrationFactors factors() const { return calibrator_->factors(sig_); }
-  std::uint64_t signature() const { return sig_; }
-  ModelCalibrator& calibrator() { return *calibrator_; }
+  CalibrationFactors factors() const { return calibrator_.factors(sig_); }
 
  private:
   JobProfile base_;        // field copy; shares base.dag
   JobProfile calibrated_;  // rebuilt by plan(); referenced by last_
   AdaptiveOptions opt_;
-  ModelCalibrator owned_;  // used when no shared calibrator was given
-  ModelCalibrator* calibrator_;
+  ModelCalibrator calibrator_;
   std::uint64_t sig_;
   DelaySchedule last_;
   bool planned_ = false;

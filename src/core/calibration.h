@@ -25,14 +25,16 @@
 
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/delay_calculator.h"
 #include "core/perf_model.h"
 #include "core/profile.h"
 #include "engine/records.h"
+#include "obs/obs.h"
+#include "util/status.h"
 
 namespace ds::core {
 
@@ -42,16 +44,21 @@ namespace ds::core {
 // accumulated under.
 std::uint64_t workload_signature(const dag::JobDag& dag);
 
-struct CalibrationOptions {
-  // EWMA weight of the newest observation. 0.4 converges in ~3 recurrences
-  // while still averaging out per-run skew noise.
-  double ewma_alpha = 0.4;
-  // Clamp on each per-run actual/predicted ratio and on the running
-  // factors: one wild run (a crash-mangled stage, a division by a tiny
-  // prediction) must not poison the profile.
-  double min_factor = 0.2;
-  double max_factor = 5.0;
-};
+// The calibration constants. None is a knob: each value is the one the
+// adaptive loop, the plan service and every golden figure were tuned with.
+//
+// EWMA weight of the newest observation. 0.4 converges in ~3 recurrences
+// while still averaging out per-run skew noise.
+inline constexpr double kCalibrationAlpha = 0.4;
+// Clamp on each per-run actual/predicted ratio and on the running factors:
+// one wild run (a crash-mangled stage, a division by a tiny prediction)
+// must not poison the profile.
+inline constexpr double kMinFactor = 0.2;
+inline constexpr double kMaxFactor = 5.0;
+// Relative movement of any factor, against the factors the workload's epoch
+// was anchored at, that opens a new epoch: a 10% model shift is worth a
+// fresh Alg. 1 search, smaller ones are per-run noise.
+inline constexpr double kDriftThreshold = 0.10;
 
 // Per-term multiplicative corrections (observed time / predicted time).
 struct CalibrationFactors {
@@ -94,36 +101,69 @@ PhaseObservation observe_run(const DelaySchedule& plan,
 PhaseObservation observe_timelines(const std::vector<StageTimeline>& predicted,
                                    const engine::JobResult& result);
 
-// Thread-safe store of per-workload correction factors. Safe to share across
-// a whole trace replay; observation order is the only thing that matters for
+// Calibration state per workload signature: the EWMA correction factors,
+// the calibration *epoch* and the factors the epoch was anchored at. The
+// epoch advances whenever a fold moves any factor more than kDriftThreshold
+// from that anchor; it is the drift signal the PlanCache invalidates on (a
+// cached plan carries the epoch it was computed under).
+//
+// Thread-safe; observation order is the only thing that matters for
 // determinism (the adaptive replay feeds it sequentially in arrival order).
+//
+// Persistence ("DSPS" v2): a magic+version header, then per signature one
+// length-prefixed, CRC-32-checked record of 9 host-endian words (signature,
+// epoch, observations, the three factors, the three anchor factors). The
+// last record for a signature wins, so an interrupted append leaves a
+// loadable valid prefix. save() writes `<path>.tmp` and renames it over
+// `path`; load() keeps the valid prefix of a corrupt tail and treats a
+// missing file as a cold start. A cold start carries identity factors, so
+// planning through an empty store is bit-identical to planning without one.
 class ModelCalibrator {
  public:
-  explicit ModelCalibrator(CalibrationOptions options = {});
+  struct LoadInfo {
+    bool missing = false;       // no file — cold start
+    bool truncated = false;     // corrupt/short tail dropped
+    std::size_t records = 0;    // records recovered
+    std::size_t discarded = 0;  // records dropped (bad CRC / short read)
+  };
+
+  // `obs` (optional) receives profile_store.observations, .drifts and the
+  // .workloads gauge.
+  explicit ModelCalibrator(obs::Observability* obs = nullptr);
 
   // Fold one run's evidence into the workload's factors:
   //   f ← (1 − α)·f + α·clamp(actual / predicted).
-  // Unusable observations (no predicted spans) are ignored.
-  void observe(std::uint64_t signature, const PhaseObservation& obs);
+  // Unusable observations (no predicted spans) are ignored. Returns true
+  // when the fold advanced the epoch — the caller should drop that
+  // signature's cached plans (PlanService does).
+  bool observe(std::uint64_t signature, const PhaseObservation& obs);
 
   // Current factors; identity for never-observed signatures.
   CalibrationFactors factors(std::uint64_t signature) const;
-
-  // Persistence hooks for the profile store (store/profile_store.h):
-  // snapshot() returns every signature's factors sorted by signature (a
-  // deterministic order, so saved files are byte-stable run over run);
-  // restore() overwrites one signature's factors wholesale — the loaded
-  // values are the bit-exact doubles snapshot() exported, never re-derived.
-  std::vector<std::pair<std::uint64_t, CalibrationFactors>> snapshot() const;
-  void restore(std::uint64_t signature, const CalibrationFactors& factors);
-
+  // 0 for never-observed signatures.
+  std::uint64_t epoch(std::uint64_t signature) const;
   std::size_t workloads() const;
-  const CalibrationOptions& options() const { return opt_; }
+
+  // Records are sorted by signature, so identical state produces an
+  // identical file.
+  Status save(const std::string& path) const;
+  // Replace the contents with the file's records. Missing file → empty, ok.
+  // Bad header (magic or version) → error, contents untouched. Corrupt tail
+  // → valid prefix kept, ok with info->truncated set.
+  Status load(const std::string& path, LoadInfo* info = nullptr);
 
  private:
-  CalibrationOptions opt_;
+  struct Entry {
+    CalibrationFactors factors;
+    CalibrationFactors anchor;  // the factors the current epoch opened with
+    std::uint64_t epoch = 0;
+  };
+
   mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, CalibrationFactors> factors_;
+  std::unordered_map<std::uint64_t, Entry> entries_;
+  obs::Counter observations_;
+  obs::Counter drifts_;
+  obs::Gauge workloads_gauge_;
 };
 
 // `base` with the corrections applied (dag pointer is shared, not owned).

@@ -2,16 +2,43 @@
 
 #include <exception>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
-#include "core/plan_serialize.h"
 #include "obs/obs.h"
 #include "service/ndjson.h"
 #include "util/check.h"
 
 namespace ds::service {
+
+namespace {
+
+// The schedule as the JSON object a plan response embeds: delays, predicted
+// timeline, makespan/JCT and search counters. 17 significant digits
+// round-trip every double exactly.
+void plan_to_json(const core::DelaySchedule& plan, std::ostream& out) {
+  out.precision(std::numeric_limits<double>::max_digits10);
+  out << "{\"version\": 1, \"delays\": [";
+  for (std::size_t k = 0; k < plan.delay.size(); ++k)
+    out << (k ? ", " : "") << plan.delay[k];
+  out << "], \"stages\": [";
+  for (std::size_t k = 0; k < plan.predicted_stages.size(); ++k) {
+    const core::StageTimeline& t = plan.predicted_stages[k];
+    out << (k ? ", " : "") << "{\"ready\": " << t.ready
+        << ", \"submitted\": " << t.submitted
+        << ", \"read_done\": " << t.read_done
+        << ", \"compute_done\": " << t.compute_done
+        << ", \"finish\": " << t.finish << "}";
+  }
+  out << "], \"predicted_makespan_s\": " << plan.predicted_makespan
+      << ", \"predicted_jct_s\": " << plan.predicted_jct
+      << ", \"evaluations\": " << plan.evaluations
+      << ", \"memo_hits\": " << plan.memo_hits << "}";
+}
+
+}  // namespace
 
 PlanDaemon::PlanDaemon(DaemonOptions options, obs::Observability* obs)
     : opt_(options),
@@ -83,18 +110,20 @@ std::string PlanDaemon::handle_line(const std::string& line, bool* is_error) {
           !st.is_ok())
         return error_response(id, st.message());
     }
-    if (const json::Value* v = req.object.find("workers"); v != nullptr)
-      spec.num_workers = static_cast<int>(v->int_or(spec.num_workers));
-    if (const json::Value* v = req.object.find("executors"); v != nullptr)
-      spec.executors_per_worker =
-          static_cast<int>(v->int_or(spec.executors_per_worker));
-    if (const json::Value* v = req.object.find("storage_nodes"); v != nullptr)
-      spec.num_storage_nodes =
-          static_cast<int>(v->int_or(spec.num_storage_nodes));
+    Status st = read_int(req.object, "workers", &spec.num_workers);
+    if (st.is_ok())
+      st = read_int(req.object, "executors", &spec.executors_per_worker);
+    if (st.is_ok())
+      st = read_int(req.object, "storage_nodes", &spec.num_storage_nodes);
+    if (!st.is_ok()) return error_response(id, st.message());
     if (const json::Value* v = req.object.find("congestion"); v != nullptr)
       spec.congestion_penalty = v->num_or(spec.congestion_penalty);
     if (spec.num_workers <= 0 || spec.executors_per_worker <= 0)
       return error_response(id, "cluster must have workers and executors");
+    if (spec.num_storage_nodes < 0)
+      return error_response(id, "\"storage_nodes\" must be >= 0");
+    if (!(spec.congestion_penalty >= 0))
+      return error_response(id, "\"congestion\" must be >= 0");
 
     core::CalculatorOptions copt = service_.options().calculator;
     if (const json::Value* v = req.object.find("quantile"); v != nullptr)
@@ -125,7 +154,7 @@ std::string PlanDaemon::handle_line(const std::string& line, bool* is_error) {
     os << ", \"cache\": \"" << (planned.cache_hit ? "hit" : "miss")
        << "\", \"signature\": \"" << planned.signature
        << "\", \"epoch\": " << planned.epoch << ", \"plan\": ";
-    core::plan_to_json(*planned.plan, os);
+    plan_to_json(*planned.plan, os);
     os << "}";
     if (is_error != nullptr) *is_error = false;
     return os.str();

@@ -15,7 +15,7 @@
 // configuration.
 //
 // Responses echo the request `id` and carry "cache": "hit" | "miss" plus the
-// full plan (core::plan_to_json). A malformed line produces
+// full plan as JSON. A malformed line produces
 // {"id": ..., "error": "..."} — never a crash, never a dropped line.
 //
 // Dispatch is batched: up to `batch` lines are read, planned concurrently on

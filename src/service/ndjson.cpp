@@ -1,5 +1,6 @@
 #include "service/ndjson.h"
 
+#include <cmath>
 #include <exception>
 #include <limits>
 #include <ostream>
@@ -34,13 +35,11 @@ Status build_workload(const std::string& name, double scale,
   return Status::ok();
 }
 
-// "v" absent = version 1; non-numeric or unsupported = error.
+// "v" absent = version 1; not an int or unsupported = error.
 Status check_version(const json::Value& request) {
-  const json::Value* v = request.find("v");
-  if (v == nullptr) return Status::ok();
-  if (!v->is_number())
-    return Status::error("\"v\" must be a number (protocol version)");
-  const auto version = v->int_or(-1);
+  int version = kNdjsonProtocolVersion;
+  if (const Status st = read_int(request, "v", &version); !st.is_ok())
+    return st;
   if (version != kNdjsonProtocolVersion) {
     std::ostringstream os;
     os << "unsupported protocol version " << version << " (this server speaks v"
@@ -78,6 +77,21 @@ void write_id(std::ostream& os, const json::Value* id) {
 }
 
 }  // namespace
+
+Status read_int(const json::Value& object, std::string_view name, int* out) {
+  const json::Value* v = object.find(name);
+  if (v == nullptr) return Status::ok();
+  const double x = v->num_or(0);
+  if (!v->is_number() ||
+      !(x >= std::numeric_limits<int>::min() &&
+        x <= std::numeric_limits<int>::max()) ||
+      std::trunc(x) != x)
+    return Status::error(
+        std::string(1, '"').append(name).append(
+            "\" must be an integer that fits in an int"));
+  *out = static_cast<int>(x);
+  return Status::ok();
+}
 
 Status parse_request(const std::string& line, Request* req) {
   *req = Request();
@@ -125,14 +139,7 @@ Status parse_request(const std::string& line, Request* req) {
   }
   if (const json::Value* v = o.find("arrival"); v != nullptr)
     req->arrival = v->num_or(-1);
-  if (const json::Value* v = o.find("priority"); v != nullptr) {
-    const double priority = v->num_or(0);
-    if (!(priority >= std::numeric_limits<int>::min() &&
-          priority <= std::numeric_limits<int>::max()))
-      return Status::error("\"priority\" must fit in an int");
-    req->priority = static_cast<int>(priority);
-  }
-  return Status::ok();
+  return read_int(o, "priority", &req->priority);
 }
 
 void open_response(std::ostream& os, const json::Value* id) {

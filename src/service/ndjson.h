@@ -5,7 +5,8 @@
 // Every request MAY carry a "v" version field:
 //   * absent          → treated as version 1 (the first shipped protocol)
 //   * "v": 1          → version 1
-//   * anything else   → the request is rejected with a ds::Status error;
+//   * anything else   → the request is rejected with a ds::Status error
+//     ("v": 1.5 and "v": "1" included);
 //     serve answers it with an {"v": 1, "id": …, "error": "…"} line and
 //     keeps going (one bad request never kills the server).
 // Unknown fields are ignored (forward tolerance): clients may attach extra
@@ -35,6 +36,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "dag/job.h"
 #include "service/scheduler.h"
@@ -54,6 +56,12 @@ struct Request {
   Seconds arrival = -1;  // < 0: caller decides (arrive immediately)
   int priority = 0;
 };
+
+// Reads the integer field `name` of `object` into `*out`; an absent field
+// leaves `*out` as it is. A present field must be an integral number that
+// fits in an int ("v", "priority", "workers", "executors",
+// "storage_nodes"); anything else is an error naming the field.
+Status read_int(const json::Value& object, std::string_view name, int* out);
 
 // Parses one request line: a JSON object with a supported "v", then either
 // a "cmd" or a job. On error `req->object` still holds whatever parsed (so

@@ -133,6 +133,7 @@ void FairQueue::reschedule() {
         fluid_done(c.remaining, per_claim) ? 0.0 : c.remaining / per_claim;
     if (next < 0 || t < next) next = t;
   }
+  check_clock_resolves(sim_.now(), next);
   pending_event_ = sim_.schedule_after(next, [this] {
     pending_event_ = kInvalidEvent;
     on_completion_event();

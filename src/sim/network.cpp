@@ -366,6 +366,7 @@ void NetworkFabric::reschedule() {
     if (next < 0 || t < next) next = t;
   }
   if (next < 0) return;
+  check_clock_resolves(sim_.now(), next);
   pending_event_ = sim_.schedule_after(next, [this] {
     pending_event_ = kInvalidEvent;
     on_completion_event();

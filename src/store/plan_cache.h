@@ -6,9 +6,9 @@
 // enter exactly, bandwidths as quarter-octave log2 classes (~19% wide) and
 // the congestion penalty in 0.05 steps, so the slowly-moving measured
 // bandwidths of a live cluster keep hitting the same plan until the cluster
-// *meaningfully* changes. A cached plan also carries the ProfileStore
-// calibration epoch it was computed under; a lookup presenting a newer epoch
-// drops the entry (counted as `stale`) — that is the PR 7 drift signal
+// *meaningfully* changes. A cached plan also carries the calibration epoch
+// (core::ModelCalibrator) it was computed under; a lookup presenting a newer
+// epoch drops the entry (counted as `stale`) — that is the drift signal
 // invalidating plans whose model moved.
 //
 // Concurrency: striped locks — the key hash picks a shard, each shard is an

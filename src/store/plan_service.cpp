@@ -7,7 +7,7 @@ namespace ds::store {
 
 PlanService::PlanService(PlanServiceOptions options, obs::Observability* obs)
     : opt_(options),
-      profiles_(options.profile, obs),
+      profiles_(obs),
       cache_(options.cache, obs),
       plans_(obs::counter(obs, "plan_service.requests")),
       cold_plans_(obs::counter(obs, "plan_service.cold_plans")) {
@@ -17,7 +17,7 @@ PlanService::PlanService(PlanServiceOptions options, obs::Observability* obs)
     // take the service down: log and run cold, exactly like a first boot.
     if (!st.is_ok()) {
       DS_WARN(st.message() << " — starting with an empty profile store");
-      load_info_ = ProfileStore::LoadInfo{};
+      load_info_ = core::ModelCalibrator::LoadInfo{};
       load_info_.missing = true;
     } else if (load_info_.truncated) {
       DS_WARN("profile store " << opt_.store_path
@@ -53,20 +53,13 @@ PlanService::Planned PlanService::plan(
     return out;
   }
 
-  // Miss: plan against the calibrated profile. Identity factors (every
-  // never-observed workload, every cold start) use the caller's profile
-  // object untouched — the bit-exact pre-store path.
+  // Miss: plan against the calibrated profile (a bit-exact copy of the
+  // caller's for never-observed workloads and every cold start).
   cold_plans_.inc();
-  const core::CalibrationFactors factors = profiles_.factors(out.signature);
-  core::DelaySchedule schedule;
-  if (factors.is_identity()) {
-    schedule = core::DelayCalculator(profile, options).compute();
-  } else {
-    const core::JobProfile calibrated =
-        core::calibrated_profile(profile, factors);
-    schedule = core::DelayCalculator(calibrated, options).compute();
-  }
-  auto plan = std::make_shared<const core::DelaySchedule>(std::move(schedule));
+  const core::JobProfile calibrated =
+      core::calibrated_profile(profile, profiles_.factors(out.signature));
+  auto plan = std::make_shared<const core::DelaySchedule>(
+      core::DelayCalculator(calibrated, options).compute());
   cache_.insert(key, out.epoch, plan);
   out.plan = std::move(plan);
   return out;

@@ -1,13 +1,13 @@
 // PlanService — the plan-as-a-service front: workload signature → profile
-// calibration (ProfileStore) → sharded plan memoization (PlanCache) →
-// DelayCalculator on miss.
+// calibration (core::ModelCalibrator) → sharded plan memoization (PlanCache)
+// → DelayCalculator on miss.
 //
 // The cold-start contract: with an empty (or absent) store, factors are
-// identity and the service hands the DelayCalculator exactly the caller's
-// profile, so the first plan for any workload is bit-identical to calling
-// DelayCalculator directly. Warm hits return the very DelaySchedule object
-// computed on the cold path (a shared_ptr copy), so they are bit-identical
-// by construction.
+// identity, and calibrated_profile with identity factors is a bit-exact copy
+// of the caller's profile, so the first plan for any workload is
+// bit-identical to calling DelayCalculator directly. Warm hits return the
+// very DelaySchedule object computed on the cold path (a shared_ptr copy),
+// so they are bit-identical by construction.
 //
 // Thread safety: plan() and observe() may be called from any number of
 // threads. Two concurrent misses on one key both compute (the calculator is
@@ -19,11 +19,11 @@
 #include <memory>
 #include <string>
 
+#include "core/calibration.h"
 #include "core/delay_calculator.h"
 #include "core/profile.h"
 #include "engine/records.h"
 #include "store/plan_cache.h"
-#include "store/profile_store.h"
 
 namespace ds::store {
 
@@ -33,7 +33,6 @@ struct PlanServiceOptions {
   // cache key, so mixed-quantile clients coexist.
   core::CalculatorOptions calculator;
   PlanCache::Options cache;
-  ProfileStoreOptions profile;
   // When set, the ctor loads this store file (missing file = cold start)
   // and save() persists back to it.
   std::string store_path;
@@ -57,28 +56,30 @@ class PlanService {
   Planned plan(const dag::JobDag& dag, const core::JobProfile& profile,
                const core::CalculatorOptions& options);
 
-  // Fold an executed run back into the profile store; on drift the
+  // Fold an executed run back into the calibrator; on drift the
   // signature's cached plans are dropped.
   void observe(const dag::JobDag& dag, const core::DelaySchedule& plan,
                const engine::JobResult& result);
   void observe(std::uint64_t signature, const core::PhaseObservation& obs);
 
-  // Persist the profile store to options().store_path (no-op Status::ok()
+  // Persist the calibrator to options().store_path (no-op Status::ok()
   // when no path is configured).
   Status save() const;
 
-  ProfileStore& profiles() { return profiles_; }
+  core::ModelCalibrator& profiles() { return profiles_; }
   PlanCache& cache() { return cache_; }
   const PlanServiceOptions& options() const { return opt_; }
   // The LoadInfo of the constructor's store load (all-defaults when no
   // store_path was configured).
-  const ProfileStore::LoadInfo& load_info() const { return load_info_; }
+  const core::ModelCalibrator::LoadInfo& load_info() const {
+    return load_info_;
+  }
 
  private:
   PlanServiceOptions opt_;
-  ProfileStore profiles_;
+  core::ModelCalibrator profiles_;
   PlanCache cache_;
-  ProfileStore::LoadInfo load_info_;
+  core::ModelCalibrator::LoadInfo load_info_;
   obs::Counter plans_;
   obs::Counter cold_plans_;
 };

@@ -6,7 +6,6 @@
 // must produce an error *response*, not kill the daemon.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -35,10 +34,6 @@ class Value {
   // fields identically (use the default).
   double num_or(double fallback) const {
     return type_ == Type::kNumber ? number_ : fallback;
-  }
-  std::int64_t int_or(std::int64_t fallback) const {
-    return type_ == Type::kNumber ? static_cast<std::int64_t>(number_)
-                                  : fallback;
   }
   bool bool_or(bool fallback) const {
     return type_ == Type::kBool ? bool_ : fallback;

@@ -113,5 +113,14 @@ TEST(FairQueue, RejectsInvalidArguments) {
   EXPECT_THROW(q.submit(-1.0, nullptr), CheckError);
 }
 
+TEST(FairQueue, DrainBelowClockResolutionFailsInsteadOfHanging) {
+  // Past 2^24 s half an ulp of the clock exceeds a nanosecond: a 1.5 ns
+  // drain could never move the clock, so submitting it is a CheckError.
+  Simulator sim;
+  FairQueue q(sim, 1e9);
+  sim.run_until(16777216.0 + 1.0);
+  EXPECT_THROW(q.submit(1.5, nullptr), CheckError);
+}
+
 }  // namespace
 }  // namespace ds::sim

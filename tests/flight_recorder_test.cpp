@@ -137,18 +137,18 @@ TEST(FlightRecorder, NdjsonLinesCarryTheV1Schema) {
   json::Value v;
   ASSERT_TRUE(json::parse(lines[0], &v).is_ok()) << lines[0];
   ASSERT_TRUE(v.is_object());
-  EXPECT_EQ(v.find("v")->int_or(0), 1);
+  EXPECT_EQ(v.find("v")->num_or(0), 1);
   EXPECT_EQ(v.find("ev")->str_or(""), "submit");
-  EXPECT_EQ(v.find("job")->int_or(0), 3);
-  EXPECT_EQ(v.find("priority")->int_or(-1), 1);
+  EXPECT_EQ(v.find("job")->num_or(0), 3);
+  EXPECT_EQ(v.find("priority")->num_or(-1), 1);
   EXPECT_DOUBLE_EQ(v.find("t")->num_or(0), 1.5);
   EXPECT_DOUBLE_EQ(v.find("queue_depth")->num_or(-1), 2.0);
   EXPECT_DOUBLE_EQ(v.find("occupancy")->num_or(-1), 0.25);
-  EXPECT_EQ(v.find("seq")->int_or(-1), 0);
+  EXPECT_EQ(v.find("seq")->num_or(-1), 0);
 
   ASSERT_TRUE(json::parse(lines[1], &v).is_ok()) << lines[1];
   EXPECT_EQ(v.find("ev")->str_or(""), "plan");
-  EXPECT_EQ(v.find("stage")->int_or(-1), 4);
+  EXPECT_EQ(v.find("stage")->num_or(-1), 4);
   EXPECT_EQ(v.find("label")->str_or(""), "lda");
   EXPECT_EQ(v.find("cache")->str_or(""), "hit");
 }
@@ -182,7 +182,7 @@ TEST(FlightRecorder, DumpNowWritesHeaderPlusTrail) {
   ASSERT_TRUE(json::parse(lines[0], &v).is_ok());
   EXPECT_EQ(v.find("ev")->str_or(""), "dump");
   EXPECT_EQ(v.find("reason")->str_or(""), "unit-test");
-  EXPECT_EQ(v.find("recorded")->int_or(0), 1);
+  EXPECT_EQ(v.find("recorded")->num_or(0), 1);
   ASSERT_TRUE(json::parse(lines[1], &v).is_ok());
   EXPECT_EQ(v.find("ev")->str_or(""), "admit");
 }
@@ -315,7 +315,7 @@ TEST(SloTracker, ViolationFiresOnceOnTheTransition) {
   json::Value v;
   ASSERT_TRUE(json::parse(os.str(), &v).is_ok()) << os.str();
   EXPECT_EQ(v.find("ev")->str_or(""), "slo");
-  EXPECT_EQ(v.find("violations")->int_or(0), 1);
+  EXPECT_EQ(v.find("violations")->num_or(0), 1);
 }
 
 TEST(SloTracker, SketchesMergeAcrossPriorityClasses) {
@@ -386,7 +386,7 @@ TEST(ObsDeterminism, FlightTelemetryAndStatsAreBitIdenticalAcrossThreads) {
   json::Value v;
   for (const auto& line : lines_of(ref.flight + ref.telemetry + ref.stats)) {
     ASSERT_TRUE(json::parse(line, &v).is_ok()) << line;
-    EXPECT_EQ(v.find("v")->int_or(0), 1) << line;
+    EXPECT_EQ(v.find("v")->num_or(0), 1) << line;
   }
   for (const int threads : {2, 8}) {
     const ObsOutputs alt = run_fleet_with_obs(threads);

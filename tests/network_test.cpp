@@ -163,5 +163,14 @@ TEST(Fabric, RejectsBadFlows) {
   EXPECT_THROW(net.start_flow({.src = 0, .dst = 0, .bytes = -1.0}), CheckError);
 }
 
+TEST(Fabric, DrainBelowClockResolutionFailsInsteadOfHanging) {
+  // Past 2^24 s half an ulp of the clock exceeds a nanosecond: a 1.5 ns
+  // drain could never move the clock, so starting it is a CheckError.
+  Simulator sim;
+  NetworkFabric net(sim, {1e9, 1e9}, 1e9);
+  sim.run_until(16777216.0 + 1.0);
+  EXPECT_THROW(net.start_flow({.src = 0, .dst = 1, .bytes = 1.5}), CheckError);
+}
+
 }  // namespace
 }  // namespace ds::sim

@@ -1,9 +1,10 @@
-// Plan-as-a-service: ProfileStore persistence (CRC-checked records, atomic
-// save, corrupt-tail recovery), the sharded PlanCache (LRU order, stale
-// epochs, drift invalidation), DelaySchedule round-trips, the NDJSON daemon —
-// and a multi-thread hammer pinning the bit-exact warm == cold contract.
+// Plan-as-a-service: calibration store persistence (CRC-checked records,
+// atomic save, corrupt-tail recovery), the sharded PlanCache (LRU order,
+// stale epochs, drift invalidation), the NDJSON daemon — and a multi-thread
+// hammer pinning the bit-exact warm == cold contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,14 +14,12 @@
 
 #include "core/calibration.h"
 #include "core/delay_calculator.h"
-#include "core/plan_serialize.h"
 #include "core/profile.h"
 #include "dag/serialize.h"
 #include "service/daemon.h"
 #include "sim/cluster.h"
 #include "store/plan_cache.h"
 #include "store/plan_service.h"
-#include "store/profile_store.h"
 #include "util/json.h"
 #include "util/units.h"
 
@@ -269,13 +268,27 @@ TEST(PlanService, DriftBumpsEpochAndInvalidatesCachedPlans) {
   EXPECT_NE(next.plan.get(), cold.plan.get());
 }
 
-// ---------- ProfileStore persistence ----------
+// ---------- calibration store persistence ----------
 
-TEST(ProfileStore, SaveLoadRoundTripIsBitExact) {
+using core::ModelCalibrator;
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(CalibrationStore, SaveLoadRoundTripIsBitExact) {
   const std::string path = temp_path("roundtrip.bin");
   std::remove(path.c_str());
 
-  ProfileStore a;
+  ModelCalibrator a;
   core::PhaseObservation obs = big_network_obs();
   a.observe(11, obs);
   a.observe(22, obs);
@@ -284,8 +297,8 @@ TEST(ProfileStore, SaveLoadRoundTripIsBitExact) {
   a.observe(33, obs);
   ASSERT_TRUE(a.save(path).is_ok());
 
-  ProfileStore b;
-  ProfileStore::LoadInfo info;
+  ModelCalibrator b;
+  ModelCalibrator::LoadInfo info;
   ASSERT_TRUE(b.load(path, &info).is_ok());
   EXPECT_FALSE(info.missing);
   EXPECT_FALSE(info.truncated);
@@ -293,90 +306,106 @@ TEST(ProfileStore, SaveLoadRoundTripIsBitExact) {
   EXPECT_EQ(b.workloads(), 3u);
 
   for (const std::uint64_t sig : {11ull, 22ull, 33ull}) {
-    const WorkloadStats sa = a.stats(sig);
-    const WorkloadStats sb = b.stats(sig);
-    EXPECT_EQ(sa.factors.network, sb.factors.network);
-    EXPECT_EQ(sa.factors.compute, sb.factors.compute);
-    EXPECT_EQ(sa.factors.write, sb.factors.write);
-    EXPECT_EQ(sa.factors.observations, sb.factors.observations);
-    EXPECT_EQ(sa.epoch, sb.epoch);
-    EXPECT_EQ(sa.runs, sb.runs);
-    EXPECT_EQ(sa.window.actual_network, sb.window.actual_network);
-    EXPECT_EQ(sa.totals.actual_network, sb.totals.actual_network);
+    const core::CalibrationFactors fa = a.factors(sig);
+    const core::CalibrationFactors fb = b.factors(sig);
+    EXPECT_EQ(fa.network, fb.network);
+    EXPECT_EQ(fa.compute, fb.compute);
+    EXPECT_EQ(fa.write, fb.write);
+    EXPECT_EQ(fa.observations, fb.observations);
+    EXPECT_EQ(a.epoch(sig), b.epoch(sig));
   }
   std::remove(path.c_str());
 }
 
-TEST(ProfileStore, MissingFileIsACleanColdStart) {
-  ProfileStore s;
-  ProfileStore::LoadInfo info;
+TEST(CalibrationStore, MissingFileIsACleanColdStart) {
+  ModelCalibrator s;
+  ModelCalibrator::LoadInfo info;
   ASSERT_TRUE(s.load(temp_path("never_written.bin"), &info).is_ok());
   EXPECT_TRUE(info.missing);
   EXPECT_EQ(s.workloads(), 0u);
   EXPECT_TRUE(s.factors(123).is_identity());
 }
 
-TEST(ProfileStore, BadMagicIsAStatusErrorNotACrash) {
+TEST(CalibrationStore, BadMagicIsAStatusErrorNotACrash) {
   const std::string path = temp_path("not_a_store.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a profile store";
-  }
-  ProfileStore s;
+  write_file(path, "this is not a profile store");
+  ModelCalibrator s;
   const Status st = s.load(path);
   EXPECT_FALSE(st.is_ok());
   EXPECT_NE(st.message().find("bad magic"), std::string::npos);
   EXPECT_EQ(s.workloads(), 0u);
 
   // The service built on that path warns and runs cold — still plans.
-  PlanServiceOptions opt;
-  opt.store_path = path;
-  PlanService service(opt);
-  EXPECT_TRUE(service.load_info().missing);
   const dag::JobDag job = diamond();
   const core::JobProfile profile =
       core::JobProfile::from(job, sim::ClusterSpec::three_node());
   const core::DelaySchedule direct =
       core::DelayCalculator(profile, core::CalculatorOptions{}).compute();
-  expect_same_plan(*service.plan(job, profile).plan, direct);
+  auto expect_cold_service = [&] {
+    PlanServiceOptions opt;
+    opt.store_path = path;
+    PlanService service(opt);
+    EXPECT_TRUE(service.load_info().missing);
+    EXPECT_EQ(service.profiles().workloads(), 0u);
+    expect_same_plan(*service.plan(job, profile).plan, direct);
+  };
+  expect_cold_service();
+
+  // A version 1 store is refused by name, and the service again plans
+  // cold.
+  std::string v1 = "DSPS";
+  const std::uint32_t version = 1;
+  v1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  write_file(path, v1);
+  const Status old = s.load(path);
+  EXPECT_FALSE(old.is_ok());
+  EXPECT_NE(old.message().find("format version 1"), std::string::npos)
+      << old.message();
+  expect_cold_service();
   std::remove(path.c_str());
 }
 
-TEST(ProfileStore, CorruptTailKeepsTheValidPrefix) {
+TEST(CalibrationStore, CorruptTailKeepsTheValidPrefix) {
   const std::string path = temp_path("corrupt_tail.bin");
-  ProfileStore a;
+  ModelCalibrator a;
   a.observe(11, big_network_obs());
   a.observe(22, big_network_obs());
   a.observe(33, big_network_obs());
   ASSERT_TRUE(a.save(path).is_ok());
+  const std::string bytes = read_file(path);
+  // An 8-byte header, then per record an 8-byte length+CRC prefix and a
+  // 9-word payload.
+  constexpr std::size_t kHeader = 8;
+  constexpr std::size_t kRecord = 8 + 9 * 8;
+  ASSERT_EQ(bytes.size(), kHeader + 3 * kRecord);
 
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    bytes = ss.str();
+  // Cut the file at every offset: a partial header is an error; otherwise
+  // exactly the whole records before the cut load, and a partial record is
+  // reported as a truncated tail.
+  for (std::size_t k = 0; k <= bytes.size(); ++k) {
+    write_file(path, bytes.substr(0, k));
+    ModelCalibrator b;
+    ModelCalibrator::LoadInfo info;
+    const Status st = b.load(path, &info);
+    if (k < kHeader) {
+      EXPECT_FALSE(st.is_ok()) << "cut at " << k;
+      continue;
+    }
+    ASSERT_TRUE(st.is_ok()) << "cut at " << k << ": " << st.message();
+    const std::size_t whole = (k - kHeader) / kRecord;
+    const bool partial = (k - kHeader) % kRecord != 0;
+    EXPECT_EQ(info.records, whole) << "cut at " << k;
+    EXPECT_EQ(b.workloads(), whole) << "cut at " << k;
+    EXPECT_EQ(info.truncated, partial) << "cut at " << k;
+    EXPECT_EQ(info.discarded, partial ? 1u : 0u) << "cut at " << k;
   }
-  // Truncate mid-way through the third record.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 40));
-  }
-  ProfileStore b;
-  ProfileStore::LoadInfo info;
-  ASSERT_TRUE(b.load(path, &info).is_ok());
-  EXPECT_TRUE(info.truncated);
-  EXPECT_EQ(info.records, 2u);
-  EXPECT_EQ(b.workloads(), 2u);
 
   // Flip a payload byte of the last record: the CRC rejects it.
-  {
-    std::string flipped = bytes;
-    flipped[flipped.size() - 20] ^= 0x5a;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
-  }
-  ProfileStore c;
+  std::string flipped = bytes;
+  flipped[flipped.size() - 20] ^= 0x5a;
+  write_file(path, flipped);
+  ModelCalibrator c;
+  ModelCalibrator::LoadInfo info;
   ASSERT_TRUE(c.load(path, &info).is_ok());
   EXPECT_TRUE(info.truncated);
   EXPECT_EQ(info.records, 2u);
@@ -384,7 +413,7 @@ TEST(ProfileStore, CorruptTailKeepsTheValidPrefix) {
   std::remove(path.c_str());
 }
 
-TEST(ProfileStore, PlanServicePersistsCalibrationAcrossProcesses) {
+TEST(CalibrationStore, PlanServicePersistsCalibrationAcrossProcesses) {
   const std::string path = temp_path("service_store.bin");
   std::remove(path.c_str());
   const dag::JobDag job = diamond();
@@ -415,49 +444,6 @@ TEST(ProfileStore, PlanServicePersistsCalibrationAcrossProcesses) {
     EXPECT_EQ(second.profiles().epoch(core::workload_signature(job)), 1u);
   }
   std::remove(path.c_str());
-}
-
-TEST(ModelCalibrator, SnapshotRestoreIsBitExact) {
-  core::ModelCalibrator a;
-  a.observe(5, big_network_obs());
-  a.observe(9, big_network_obs());
-  core::ModelCalibrator b;
-  for (const auto& [sig, f] : a.snapshot()) b.restore(sig, f);
-  for (const std::uint64_t sig : {5ull, 9ull}) {
-    EXPECT_EQ(a.factors(sig).network, b.factors(sig).network);
-    EXPECT_EQ(a.factors(sig).compute, b.factors(sig).compute);
-    EXPECT_EQ(a.factors(sig).write, b.factors(sig).write);
-    EXPECT_EQ(a.factors(sig).observations, b.factors(sig).observations);
-  }
-}
-
-// ---------- DelaySchedule round-trip ----------
-
-TEST(PlanSerialize, RoundTripIsBitExact) {
-  const dag::JobDag job = diamond();
-  const core::JobProfile profile =
-      core::JobProfile::from(job, sim::ClusterSpec::three_node());
-  const core::DelaySchedule plan =
-      core::DelayCalculator(profile, core::CalculatorOptions{}).compute();
-
-  const std::string text = core::save_plan_text(plan);
-  core::DelaySchedule loaded;
-  ASSERT_TRUE(core::load_plan_text(text, &loaded).is_ok());
-  expect_same_plan(loaded, plan);
-  EXPECT_EQ(loaded.evaluations, plan.evaluations);
-  EXPECT_EQ(loaded.memo_hits, plan.memo_hits);
-}
-
-TEST(PlanSerialize, VersionMismatchIsAStatusErrorNotACrash) {
-  core::DelaySchedule out;
-  out.predicted_makespan = 42;  // must stay untouched on failure
-  const Status st = core::load_plan_text("plan,v9\nmakespan,1\n", &out);
-  EXPECT_FALSE(st.is_ok());
-  EXPECT_NE(st.message().find("version"), std::string::npos);
-  EXPECT_EQ(out.predicted_makespan, 42);
-
-  EXPECT_FALSE(core::load_plan_text("", &out).is_ok());
-  EXPECT_FALSE(core::load_plan_text("plan,v1\nnonsense,1,2\n", &out).is_ok());
 }
 
 // ---------- the NDJSON daemon ----------
@@ -526,6 +512,25 @@ TEST(PlanDaemon, MalformedLinesGetErrorResponsesNotCrashes) {
   EXPECT_NE(daemon.handle_line(typo, &err).find("\"error\""),
             std::string::npos);
   EXPECT_TRUE(err);
+  // Integer fields must be integers that fit in an int, and the cluster
+  // overrides must be in range: none of these may plan.
+  for (const std::string fields :
+       {R"("v": 1.5)", R"("v": 1e300)", R"("workers": 4294967297)",
+        R"("executors": 2.9)", R"("storage_nodes": 1.5)"}) {
+    const std::string r = daemon.handle_line(
+        R"({"id": 4, "workload": "lda", "scale": 0.5, )" + fields + "}", &err);
+    EXPECT_NE(r.find("must be an integer"), std::string::npos) << r;
+    EXPECT_TRUE(err) << fields;
+  }
+  for (const std::string fields :
+       {R"("storage_nodes": -3)", R"("congestion": -1)"}) {
+    const std::string r = daemon.handle_line(
+        R"({"id": 5, "workload": "cosine_similarity", "scale": 0.5, )" +
+            fields + "}",
+        &err);
+    EXPECT_NE(r.find("must be >= 0"), std::string::npos) << r;
+    EXPECT_TRUE(err) << fields;
+  }
 }
 
 TEST(PlanDaemon, NonFiniteRequestsGetErrorResponsesNotStalls) {

@@ -351,6 +351,19 @@ TEST(SchedNdjson, RejectsOutOfRangeNumbers) {
                   R"({"workload": "lda", "priority": -2147483648})", &r)
                   .is_ok());
   EXPECT_EQ(r.priority, -2147483647 - 1);
+  // Integer fields take integers only: a fraction, a string or a value no
+  // int holds is an error that names the field.
+  for (const std::string fields :
+       {R"("priority": 2.5)", R"("priority": "high")", R"("v": 1.5)",
+        R"("v": 1e300)", R"("v": "1")"}) {
+    const Status st = service::parse_request(
+        R"({"workload": "lda", )" + fields + "}", &r);
+    EXPECT_FALSE(st.is_ok()) << fields;
+    const std::string field = fields.substr(0, fields.find(':'));
+    EXPECT_NE(st.message().find(field + " must be an integer"),
+              std::string::npos)
+        << st.message();
+  }
 }
 
 TEST(SchedNdjson, ParsesStatsAndSaveCommands) {
@@ -363,7 +376,7 @@ TEST(SchedNdjson, ParsesStatsAndSaveCommands) {
   EXPECT_FALSE(bad.is_ok());
   // The parsed object survives the error, so serve can echo the id.
   ASSERT_NE(r.object.find("id"), nullptr);
-  EXPECT_EQ(r.object.find("id")->int_or(0), 4);
+  EXPECT_EQ(r.object.find("id")->num_or(0), 4);
 }
 
 TEST(SchedNdjson, ResponseLinesCarryVersionAndNewline) {
