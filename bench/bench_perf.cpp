@@ -213,7 +213,7 @@ double median(std::vector<double> v) {
 // inside each pair. The off-mode floor is wall clock (the fastest round's
 // whole suite).
 void obs_overhead() {
-  constexpr double kOffRunsPerSecFloor = 0.9;
+  constexpr double kOffRunsPerSecFloor = 2.7;
   constexpr double kOverheadPctCeiling = 3.0;  // every instrumented mode
   constexpr std::uint64_t kSeed = 42;
   constexpr int kRounds = 10;
@@ -339,8 +339,8 @@ void tick(TickState* t) {
 // reported.
 void sim_throughput() {
   constexpr double kQueueEventsPerSecFloor = 12000000;  // both scenarios
-  constexpr double kEngineEventsPerSecFloor = 8000;
-  constexpr double kEngineReplayJobsPerSecFloor = 90;
+  constexpr double kEngineEventsPerSecFloor = 24000;
+  constexpr double kEngineReplayJobsPerSecFloor = 200;
   const int shard_counts[] = {1, 2, 8};
 
   TablePrinter qt({"scenario", "events", "events/s"});

@@ -48,6 +48,7 @@ const TimeSeries& UtilizationSampler::net_rx_mbps(sim::NodeId worker) const {
 void UtilizationSampler::sample() {
   const Seconds now = cluster_.sim().now();
   const auto& pool = cluster_.executors();
+  cluster_.fabric().node_rx_rates(rx_);
   double cpu_sum = 0;
   double net_sum = 0;
   for (int w = 0; w < cluster_.num_workers(); ++w) {
@@ -57,7 +58,7 @@ void UtilizationSampler::sample() {
     const double util =
         100.0 * static_cast<double>(cluster_.computing(w)) /
         static_cast<double>(pool.slots(w));
-    const double rx = to_MBps(cluster_.fabric().node_rx_rate(w));
+    const double rx = to_MBps(rx_[static_cast<std::size_t>(w)]);
     cpu_[static_cast<std::size_t>(w)].push(now, util);
     net_[static_cast<std::size_t>(w)].push(now, rx);
     cpu_sum += util;

@@ -44,6 +44,7 @@ class UtilizationSampler {
 
   sim::Cluster& cluster_;
   sim::EventId pending_ = sim::kInvalidEvent;
+  std::vector<BytesPerSec> rx_;  // per-tick scratch: every node's rx rate
   std::vector<TimeSeries> cpu_;
   std::vector<TimeSeries> net_;
   TimeSeries cluster_cpu_;

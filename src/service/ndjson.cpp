@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "dag/serialize.h"
+#include "sim/time.h"
 #include "util/json.h"
 #include "workloads/workloads.h"
 
@@ -137,8 +138,15 @@ Status parse_request(const std::string& line, Request* req) {
   } catch (const std::exception& e) {
     return Status::error(e.what());
   }
-  if (const json::Value* v = o.find("arrival"); v != nullptr)
-    req->arrival = v->num_or(-1);
+  if (const json::Value* v = o.find("arrival"); v != nullptr) {
+    // Negative keeps its meaning (back to back); a later time must be one
+    // the simulated clock can still resolve drains at.
+    const double x = v->num_or(0);
+    if (!v->is_number() || !(x < sim::kClockHorizon))
+      return Status::error(
+          "\"arrival\" must be a number of seconds below 2^24 (16777216)");
+    req->arrival = x;
+  }
   return read_int(o, "priority", &req->priority);
 }
 

@@ -27,8 +27,9 @@
 //     "storage_nodes" and "congestion", and the planner's "quantile";
 //     "stats" answers cache/profile counters, "save" persists the profile
 //     store.
-//   sched — "arrival" (absolute submit time in seconds; absent/negative =
-//     back-to-back with the previous job) and "priority" (the class, lower
+//   sched — "arrival" (absolute submit time in seconds, a number below
+//     sim::kClockHorizon = 2^24 s; absent/negative = back-to-back with the
+//     previous job) and "priority" (the class, lower
 //     = more important). "stats" answers in stream order with one live
 //     {"ev": "stats"} state line (Scheduler::write_stats), evaluated after
 //     the preceding submissions; "save" is an error.

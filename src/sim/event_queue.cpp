@@ -17,7 +17,7 @@ inline EventId encode(std::uint32_t slot, std::uint32_t gen) {
 
 }  // namespace
 
-EventId EventQueue::push(SimTime t, EventFn fn) {
+EventId EventQueue::push_at_seq(SimTime t, std::uint64_t seq, EventFn&& fn) {
   DS_CHECK_MSG(static_cast<bool>(fn), "scheduling a null event callback");
   std::uint32_t slot;
   if (free_.empty()) {
@@ -30,7 +30,7 @@ EventId EventQueue::push(SimTime t, EventFn fn) {
   Node& n = slab_[slot];
   n.fn = std::move(fn);
   n.heap_pos = static_cast<std::int32_t>(heap_.size());
-  heap_.push_back(HeapEntry{t, next_seq_++, slot});
+  heap_.push_back(HeapEntry{t, seq, slot});
   sift_up(heap_.size() - 1);
   return encode(slot, n.gen);
 }

@@ -5,8 +5,8 @@
 // allocated a map node (and usually a std::function control block), every
 // cancel left a dead entry in the heap until its time drained past, and
 // size() counted only the map — the heap could grow without bound under
-// schedule/cancel churn (exactly what the fabric's reschedule() produces:
-// roughly half of all pushed events are cancelled before firing).
+// schedule/cancel churn (exactly what the fabric's completion re-filing
+// produced: roughly half of all pushed events were cancelled before firing).
 //
 // This core keeps three flat arrays instead:
 //
@@ -26,7 +26,8 @@
 //
 // Ordering contract (unchanged, bit-exact vs the old queue): events fire in
 // ascending time, ties broken by insertion order via a monotonically
-// increasing sequence number.
+// increasing sequence number. A push_at_seq() event ties as if it had been
+// pushed when its number was reserved.
 //
 // Callbacks are InlineFunction (see util/inline_function.h): any capture
 // list up to kEventFnCapacity bytes — all of sim/engine/fault — is stored
@@ -34,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -58,7 +60,17 @@ class EventQueue {
 
   // Schedule `fn` at absolute time `t`. Events at equal times fire in
   // insertion order. Returns a handle usable with cancel().
-  EventId push(SimTime t, EventFn fn);
+  EventId push(SimTime t, EventFn fn) {
+    return push_at_seq(t, next_seq_++, std::move(fn));
+  }
+
+  // Take the next insertion number without filing anything. A caller that
+  // defers a push (the fabric's once-per-instant completion event) takes its
+  // place in the equal-time tie order now and files the event later with
+  // push_at_seq(). An unused number only leaves a gap, which no tie sees.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  // push() under a number taken earlier from reserve_seq().
+  EventId push_at_seq(SimTime t, std::uint64_t seq, EventFn&& fn);
 
   // Cancel a pending event: removed from the heap immediately, callback
   // destroyed, slot recycled. Cancelling an already-fired, already-cancelled

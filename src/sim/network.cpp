@@ -113,6 +113,8 @@ NetworkFabric::NetworkFabric(Simulator& sim, std::vector<BytesPerSec> nic_bw,
       last_advance_(sim.now()),
       flows_started_(obs::counter(obs, "net.flows_started")),
       flows_completed_(obs::counter(obs, "net.flows_completed")),
+      reallocations_(obs::counter(obs, "net.reallocations")),
+      realloc_flows_(obs::counter(obs, "net.realloc_flows")),
       bytes_delivered_(obs::gauge(obs, "net.bytes_delivered")),
       flow_seconds_(obs::histogram(obs, "net.flow_seconds",
                                    obs::exponential_buckets(0.05, 2.0, 22))),
@@ -132,10 +134,35 @@ NetworkFabric::NetworkFabric(Simulator& sim, std::vector<BytesPerSec> nic_bw,
     DS_CHECK_MSG(num_sites_ == 1 || wan_bw_ > 0,
                  "multi-site fabric needs a positive wan_bw");
   }
+  if (group_penalty_ > 0) port_groups_.resize(num_ports());
 }
 
 NetworkFabric::~NetworkFabric() {
+  sim_.forget(this);
   if (pending_event_ != kInvalidEvent) sim_.cancel(pending_event_);
+}
+
+FlowPorts NetworkFabric::ports_of(NodeId src, NodeId dst) const {
+  if (src == dst) return {loopback_port(src), -1, -1};
+  const int ss = site_of(src);
+  const int ds = site_of(dst);
+  return {egress_port(src), ingress_port(dst), ss != ds ? wan_port(ss, ds) : -1};
+}
+
+void NetworkFabric::count_groups(const Flow& f, int delta) {
+  if (group_penalty_ <= 0) return;
+  for (int p : f.ports) {
+    if (p < 0) continue;
+    auto& groups = port_groups_[static_cast<std::size_t>(p)];
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [&](const auto& g) { return g.first == f.group; });
+    if (it == groups.end()) {
+      groups.emplace_back(f.group, delta);
+    } else if ((it->second += delta) == 0) {
+      *it = groups.back();
+      groups.pop_back();
+    }
+  }
 }
 
 std::int32_t NetworkFabric::lookup(FlowId id) const {
@@ -173,6 +200,7 @@ std::int32_t NetworkFabric::alloc_slot() {
 
 void NetworkFabric::free_slot(std::int32_t slot) {
   Flow& f = slab_[static_cast<std::size_t>(slot)];
+  count_groups(f, -1);
   if (f.prev >= 0) {
     slab_[static_cast<std::size_t>(f.prev)].next = f.next;
   } else {
@@ -199,15 +227,16 @@ FlowId NetworkFabric::start_flow(FlowSpec spec) {
   Flow& f = slab_[static_cast<std::size_t>(slot)];
   f.src = spec.src;
   f.dst = spec.dst;
+  f.ports = ports_of(spec.src, spec.dst);
   f.remaining = spec.bytes;
   f.group = spec.group;
   f.rate = 0.0;
   f.on_complete = std::move(spec.on_complete);
   f.started = sim_.now();
+  count_groups(f, +1);
   flows_started_.inc();
   flow_bytes_.observe(spec.bytes);
-  reallocate();
-  reschedule();
+  mark_dirty();
   return encode_flow(slot, f.gen);
 }
 
@@ -219,8 +248,7 @@ void NetworkFabric::set_node_scale(NodeId n, double factor) {
   advance_to_now();
   link_scale_[static_cast<std::size_t>(n)] = factor;
   caps_dirty_ = true;
-  reallocate();
-  reschedule();
+  mark_dirty();
 }
 
 void NetworkFabric::cancel(FlowId id) {
@@ -228,11 +256,11 @@ void NetworkFabric::cancel(FlowId id) {
   const std::int32_t slot = lookup(id);
   if (slot < 0) return;
   free_slot(slot);
-  reallocate();
-  reschedule();
+  mark_dirty();
 }
 
-BytesPerSec NetworkFabric::node_rx_rate(NodeId n) const {
+BytesPerSec NetworkFabric::node_rx_rate(NodeId n) {
+  flush();
   BytesPerSec sum = 0;
   for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
     const Flow& f = slab_[static_cast<std::size_t>(i)];
@@ -241,7 +269,8 @@ BytesPerSec NetworkFabric::node_rx_rate(NodeId n) const {
   return sum;
 }
 
-BytesPerSec NetworkFabric::node_tx_rate(NodeId n) const {
+BytesPerSec NetworkFabric::node_tx_rate(NodeId n) {
+  flush();
   BytesPerSec sum = 0;
   for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
     const Flow& f = slab_[static_cast<std::size_t>(i)];
@@ -250,17 +279,22 @@ BytesPerSec NetworkFabric::node_tx_rate(NodeId n) const {
   return sum;
 }
 
+void NetworkFabric::node_rx_rates(std::vector<BytesPerSec>& out) {
+  flush();
+  out.assign(nic_bw_.size(), 0.0);
+  for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
+    const Flow& f = slab_[static_cast<std::size_t>(i)];
+    if (f.src != f.dst) out[static_cast<std::size_t>(f.dst)] += f.rate;
+  }
+}
+
 void NetworkFabric::advance_to_now() {
   const SimTime now = sim_.now();
   const Seconds dt = now - last_advance_;
   last_advance_ = now;
   if (dt <= 0) return;
-  for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
-    Flow& f = slab_[static_cast<std::size_t>(i)];
-    const Bytes used = std::min(f.remaining, f.rate * dt);
-    f.remaining -= used;
-    delivered_ += used;
-  }
+  for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next)
+    drain(slab_[static_cast<std::size_t>(i)], dt);
   bytes_delivered_.set(delivered_);
 }
 
@@ -283,78 +317,60 @@ void NetworkFabric::rebuild_caps() {
   caps_dirty_ = false;
 }
 
-void NetworkFabric::reallocate() {
-  if (num_active_ == 0) return;
+void NetworkFabric::mark_dirty() {
+  pending_seq_ = sim_.reserve_seq();
+  if (!dirty_) {
+    dirty_ = true;
+    sim_.defer(this);
+  }
+}
+
+void NetworkFabric::flush() {
+  if (!dirty_) return;
+  dirty_ = false;
+  if (pending_event_ != kInvalidEvent) {
+    sim_.cancel(pending_event_);
+    pending_event_ = kInvalidEvent;
+  }
+  const Seconds next = reallocate();
+  if (next < 0) return;
+  check_clock_resolves(sim_.now(), next);
+  pending_event_ = sim_.schedule_at_seq(sim_.now() + next, pending_seq_, [this] {
+    pending_event_ = kInvalidEvent;
+    on_completion_event();
+  });
+}
+
+Seconds NetworkFabric::reallocate() {
+  if (num_active_ == 0) return -1;
+  reallocations_.inc();
+  realloc_flows_.inc(num_active_);
   sc_ports_.clear();
   sc_slots_.clear();
   for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
-    const Flow& f = slab_[static_cast<std::size_t>(i)];
     sc_slots_.push_back(i);
-    if (f.src == f.dst) {
-      sc_ports_.push_back({loopback_port(f.src), -1, -1});
-    } else {
-      int wan = -1;
-      const int ss = site_of(f.src);
-      const int ds = site_of(f.dst);
-      if (ss != ds) wan = wan_port(ss, ds);
-      sc_ports_.push_back({egress_port(f.src), ingress_port(f.dst), wan});
-    }
+    sc_ports_.push_back(slab_[static_cast<std::size_t>(i)].ports);
   }
   if (caps_dirty_) rebuild_caps();
   sc_caps_.assign(caps_base_.begin(), caps_base_.end());
 
   // Cross-group contention: a port interleaving g distinct flow groups
-  // (stages) serves only C / (1 + β·(g − 1)).
-  if (group_penalty_ > 0) {
-    const std::size_t np = sc_caps_.size();
-    pg_count_.assign(np, 0);
-    for (const FlowPorts& fp : sc_ports_) {
-      for (int p : fp) {
-        if (p >= 0) ++pg_count_[static_cast<std::size_t>(p)];
-      }
-    }
-    pg_offset_.resize(np + 1);
-    pg_offset_[0] = 0;
-    for (std::size_t p = 0; p < np; ++p)
-      pg_offset_[p + 1] = pg_offset_[p] + pg_count_[p];
-    pg_cursor_.assign(pg_offset_.begin(), pg_offset_.end() - 1);
-    pg_items_.resize(static_cast<std::size_t>(pg_offset_[np]));
-    for (std::size_t fi = 0; fi < sc_ports_.size(); ++fi) {
-      const int g = slab_[static_cast<std::size_t>(sc_slots_[fi])].group;
-      for (int p : sc_ports_[fi]) {
-        if (p >= 0)
-          pg_items_[static_cast<std::size_t>(
-              pg_cursor_[static_cast<std::size_t>(p)]++)] = g;
-      }
-    }
-    for (std::size_t p = 0; p < np; ++p) {
-      if (pg_count_[p] < 2) continue;
-      const auto first = pg_items_.begin() + pg_offset_[p];
-      const auto last = pg_items_.begin() + pg_offset_[p + 1];
-      std::sort(first, last);
-      const auto distinct = static_cast<double>(std::unique(first, last) - first);
-      // Logarithmic degradation: doubling the number of interleaved stages
-      // costs a constant efficiency factor (incast-style collapse saturates
-      // rather than growing without bound).
-      sc_caps_[p] /= 1.0 + group_penalty_ * std::log(distinct);
-    }
+  // (stages) serves only C / (1 + β·ln g). Logarithmic degradation:
+  // doubling the number of interleaved stages costs a constant efficiency
+  // factor (incast-style collapse saturates rather than growing without
+  // bound). A single group divides by exactly 1.0, so it is skipped.
+  for (std::size_t p = 0; p < port_groups_.size(); ++p) {
+    const std::size_t distinct = port_groups_[p].size();
+    if (distinct < 2) continue;
+    sc_caps_[p] /= 1.0 + group_penalty_ * std::log(static_cast<double>(distinct));
   }
 
   max_min_allocate_into(sc_ports_, sc_caps_, mm_);
-  for (std::size_t i = 0; i < sc_slots_.size(); ++i) {
-    slab_[static_cast<std::size_t>(sc_slots_[i])].rate = mm_.rates[i];
-  }
-}
-
-void NetworkFabric::reschedule() {
-  if (pending_event_ != kInvalidEvent) {
-    sim_.cancel(pending_event_);
-    pending_event_ = kInvalidEvent;
-  }
-  if (num_active_ == 0) return;
+  // Write the rates back and find the earliest drain in the same pass.
   Seconds next = -1;
-  for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
-    const Flow& f = slab_[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < sc_slots_.size(); ++i) {
+    Flow& f = slab_[static_cast<std::size_t>(sc_slots_[i])];
+    f.rate = mm_.rates[i];
     Seconds t;
     if (fluid_done(f.remaining, f.rate)) {
       t = 0.0;
@@ -365,16 +381,15 @@ void NetworkFabric::reschedule() {
     }
     if (next < 0 || t < next) next = t;
   }
-  if (next < 0) return;
-  check_clock_resolves(sim_.now(), next);
-  pending_event_ = sim_.schedule_after(next, [this] {
-    pending_event_ = kInvalidEvent;
-    on_completion_event();
-  });
+  return next;
 }
 
 void NetworkFabric::on_completion_event() {
-  advance_to_now();
+  // advance_to_now() fused into the done-scan: each flow is advanced, then
+  // tested, in list order, so delivered_ sums in the same order.
+  const SimTime now = sim_.now();
+  const Seconds dt = now - last_advance_;
+  last_advance_ = now;
   // Completions fire in flow start order (= the intrusive list order, = the
   // ascending-id order the old map-based fabric sorted into): callback order
   // is structurally deterministic. The scratch vector is detached while
@@ -384,16 +399,17 @@ void NetworkFabric::on_completion_event() {
   for (std::int32_t i = head_; i >= 0;) {
     Flow& f = slab_[static_cast<std::size_t>(i)];
     const std::int32_t next = f.next;
+    if (dt > 0) drain(f, dt);
     if (fluid_done(f.remaining, f.rate)) {
       flows_completed_.inc();
-      flow_seconds_.observe(sim_.now() - f.started);
+      flow_seconds_.observe(now - f.started);
       done.push_back(std::move(f.on_complete));
       free_slot(i);
     }
     i = next;
   }
-  reallocate();
-  reschedule();
+  if (dt > 0) bytes_delivered_.set(delivered_);
+  mark_dirty();
   for (EventFn& fn : done) {
     if (fn) fn();
   }

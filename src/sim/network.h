@@ -4,24 +4,40 @@
 // its provisioned bandwidth) plus a fast loopback path for node-local reads.
 // A remote flow consumes one unit of demand on the source's egress port and
 // the destination's ingress port; flow rates are the max-min fair allocation
-// over those ports (progressive water-filling), recomputed whenever a flow
-// starts or finishes. This yields exactly the equal-share behaviour the
-// paper's Eq. (1) assumes when parallel stages contend for a link, plus
-// realistic incast when many reducers pull from one upstream node.
+// over those ports (progressive water-filling). This yields exactly the
+// equal-share behaviour the paper's Eq. (1) assumes when parallel stages
+// contend for a link, plus realistic incast when many reducers pull from one
+// upstream node.
 //
-// Hot-path layout (this fabric is ~90% of engine-run time, so it follows the
+// Once per instant. A flow start, cancel, link-scale change or completion
+// only marks the fabric dirty; the allocation is recomputed once, when the
+// Simulator flushes it before the clock can move. A reduce task's shuffle
+// read starts one flow per source node at the same instant — one coflow,
+// one water-filling pass instead of one per flow. The result is the eager
+// fabric's, bit for bit: the allocation depends only on the flow set, and
+// event order is kept through reserved sequence numbers. Each dirtying
+// call reserves the number (Simulator::reserve_seq) that an eager
+// reallocation would have given its completion event at that point; the
+// flush files the event under the last one. Reads of a rate
+// (node_rx_rate/node_tx_rate/node_rx_rates) flush first, so nothing sees a
+// stale rate.
+//
+// Hot-path layout (this fabric is most of engine-run time, so it follows the
 // same discipline as the event core): flows live in a slab with an intrusive
 // insertion-ordered list (handles are generation-tagged, cancel is O(1) and
-// safe on stale ids), the water-filling works out of persistent scratch
-// arenas (MaxMinScratch, flat CSR port->flow lists), and port capacities are
-// cached between link-scale changes — the steady state allocates nothing per
-// flow start/finish/cancel. Flow enumeration order is the insertion order,
-// which also makes completion-callback order structurally deterministic
-// (the old map-based fabric had to sort by id to get the same guarantee).
+// safe on stale ids), each port keeps its count of flows per group (so the
+// group penalty needs no sort), the water-filling works out of persistent
+// scratch arenas (MaxMinScratch, flat CSR port->flow lists), and port
+// capacities are cached between link-scale changes — the steady state
+// allocates nothing per flow start/finish/cancel. Flow enumeration order is
+// the insertion order, which also makes completion-callback order
+// structurally deterministic.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -70,7 +86,7 @@ struct MaxMinScratch {
 void max_min_allocate_into(const std::vector<FlowPorts>& flow_ports,
                            const std::vector<double>& caps, MaxMinScratch& s);
 
-class NetworkFabric {
+class NetworkFabric : private Flushable {
  public:
   // `nic_bw[n]` is node n's NIC bandwidth (applied to both directions).
   // `loopback_bw` bounds node-local transfers (shared per node, max-min like
@@ -80,14 +96,16 @@ class NetworkFabric {
   // storage servers suffer when *unrelated* transfer sets interleave on one
   // port (TCP incast collapse, interleaved disk service on the shuffle
   // source): a port carrying flows from g distinct groups serves an
-  // effective capacity C / (1 + β·(g − 1)). β = 0 restores the ideal
+  // effective capacity C / (1 + β·ln g). β = 0 restores the ideal
   // work-conserving fabric. This is the non-work-conserving contention the
   // paper's motivation measures (Figs. 4-5) and DelayStage exploits.
   // `site_of[n]` (optional) assigns node n to a geo site; flows between
   // different sites additionally cross a per-site-pair WAN port of capacity
   // `wan_bw` — the geo-distributed setting §6 names as future work.
-  // `obs` (optional) receives flow counters and the flow-duration/volume
-  // histograms; must outlive the fabric.
+  // `obs` (optional) receives flow counters, the reallocation counters
+  // (net.reallocations: water-filling passes; net.realloc_flows: active
+  // flows summed over them) and the flow-duration/volume histograms; must
+  // outlive the fabric.
   NetworkFabric(Simulator& sim, std::vector<BytesPerSec> nic_bw,
                 BytesPerSec loopback_bw, double group_penalty = 0.0,
                 std::vector<int> site_of = {}, BytesPerSec wan_bw = 0,
@@ -115,16 +133,19 @@ class NetworkFabric {
 
   // Scale node n's access link (egress + ingress) to `factor` × its
   // provisioned bandwidth — the FaultInjector's degradation windows. Active
-  // flows are re-allocated immediately; 1.0 restores full capacity.
+  // flows are re-allocated at this instant; 1.0 restores full capacity.
   void set_node_scale(NodeId n, double factor);
   double node_scale(NodeId n) const {
     return link_scale_.empty() ? 1.0 : link_scale_.at(static_cast<std::size_t>(n));
   }
 
   // Instantaneous NIC throughput for metrics sampling (remote flows only —
-  // loopback traffic never touches the NIC).
-  BytesPerSec node_rx_rate(NodeId n) const;
-  BytesPerSec node_tx_rate(NodeId n) const;
+  // loopback traffic never touches the NIC). Each flushes a pending
+  // reallocation first. node_rx_rates fills out[n] = node_rx_rate(n) for
+  // every node in one pass over the flows (same per-node summation order).
+  BytesPerSec node_rx_rate(NodeId n);
+  BytesPerSec node_tx_rate(NodeId n);
+  void node_rx_rates(std::vector<BytesPerSec>& out);
   // Total bytes delivered over the fabric so far (lazy; call sync() to get
   // an up-to-the-instant figure).
   Bytes total_delivered() const { return delivered_; }
@@ -135,6 +156,7 @@ class NetworkFabric {
   struct Flow {
     NodeId src = 0;
     NodeId dst = 0;
+    FlowPorts ports{};  // egress/ingress/WAN, or loopback; -1 = unused
     Bytes remaining = 0;
     int group = -1;
     BytesPerSec rate = 0;
@@ -155,6 +177,7 @@ class NetworkFabric {
   int wan_port(int src_site, int dst_site) const {
     return 3 * num_nodes() + src_site * num_sites_ + dst_site;
   }
+  FlowPorts ports_of(NodeId src, NodeId dst) const;
   std::size_t num_ports() const {
     return static_cast<std::size_t>(3 * num_nodes() + num_sites_ * num_sites_);
   }
@@ -164,11 +187,23 @@ class NetworkFabric {
   std::int32_t alloc_slot();
   // Unlink + recycle; retires every outstanding handle to the slot.
   void free_slot(std::int32_t slot);
+  // Add `delta` (±1) to the flow's group count on each of its ports.
+  void count_groups(const Flow& f, int delta);
 
   void advance_to_now();
+  // One flow's part of advance_to_now(): `dt` seconds at its current rate.
+  void drain(Flow& f, Seconds dt) {
+    const Bytes used = std::min(f.remaining, f.rate * dt);
+    f.remaining -= used;
+    delivered_ += used;
+  }
   void rebuild_caps();
-  void reallocate();
-  void reschedule();
+  // Reserve the completion event's sequence number and defer a flush.
+  void mark_dirty();
+  void flush() override;
+  // Water-filling pass: writes every flow's rate and returns the earliest
+  // drain time from now (-1 if none).
+  Seconds reallocate();
   void on_completion_event();
 
   Simulator& sim_;
@@ -188,6 +223,8 @@ class NetworkFabric {
 
   SimTime last_advance_ = 0;
   EventId pending_event_ = kInvalidEvent;
+  bool dirty_ = false;
+  std::uint64_t pending_seq_ = 0;  // last number reserved while dirty
   Bytes delivered_ = 0;
 
   // Persistent scratch (see header comment): rebuilt in place every
@@ -197,12 +234,16 @@ class NetworkFabric {
   std::vector<double> caps_base_;
   bool caps_dirty_ = true;
   std::vector<double> sc_caps_;
-  std::vector<int> pg_count_, pg_offset_, pg_cursor_, pg_items_;
+  // Per port: (group, active flows of that group). The list's size is the
+  // port's number of distinct groups. Kept only when group_penalty_ > 0.
+  std::vector<std::vector<std::pair<int, int>>> port_groups_;
   MaxMinScratch mm_;
   std::vector<EventFn> done_scratch_;
 
   obs::Counter flows_started_;
   obs::Counter flows_completed_;
+  obs::Counter reallocations_;
+  obs::Counter realloc_flows_;
   obs::Gauge bytes_delivered_;
   obs::Histogram flow_seconds_;
   obs::Histogram flow_bytes_;

@@ -6,11 +6,25 @@
 // state allocates nothing per event.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "obs/obs.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
 namespace ds::sim {
+
+// Work a component batches within one simulated instant (NetworkFabric's
+// reallocation). The simulator flushes every deferred component before it
+// looks at the queue, so the batch always lands before the clock moves.
+class Flushable {
+ public:
+  virtual void flush() = 0;
+
+ protected:
+  ~Flushable() = default;
+};
 
 class Simulator {
  public:
@@ -29,6 +43,17 @@ class Simulator {
   EventId schedule_after(Seconds dt, EventFn fn);
   void cancel(EventId id);
 
+  // Deferred scheduling (see EventQueue::reserve_seq): take a tie-order
+  // number now, file the event under it later.
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+  EventId schedule_at_seq(SimTime t, std::uint64_t seq, EventFn fn);
+
+  // Flush `f` before the next event is popped or the clock moves. Listing a
+  // component twice is harmless when its flush() is idempotent; forget()
+  // drops every listing (a component destroyed with work pending).
+  void defer(Flushable* f) { deferred_.push_back(f); }
+  void forget(const Flushable* f);
+
   // Run until the event queue is empty. Returns the final time.
   SimTime run();
   // Run all events with time <= t, then set now() = t. Returns true if any
@@ -38,12 +63,15 @@ class Simulator {
   bool step();
 
   std::size_t events_processed() const { return processed_; }
-  std::size_t events_pending() const { return queue_.size(); }
-  // Time of the earliest pending event; only valid when events_pending() > 0.
-  SimTime next_event_time() const { return queue_.next_time(); }
 
  private:
+  void flush_deferred() {
+    if (!deferred_.empty()) flush_all();
+  }
+  void flush_all();
+
   EventQueue queue_;
+  std::vector<Flushable*> deferred_;
   SimTime now_ = 0;
   std::size_t processed_ = 0;
   obs::Counter events_counter_;

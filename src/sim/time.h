@@ -32,10 +32,14 @@ inline bool fluid_done(double remaining, double rate) {
   return remaining <= kFluidEps || remaining <= rate * kTimeEps;
 }
 
-// Past 2^24 s, half an ulp of the clock exceeds kTimeEps: a drain longer
-// than a nanosecond but shorter than that half ulp is neither done nor able
-// to move the clock, so the fluid resource would re-fire at the same
-// instant forever. Fail instead of hanging; `next` = 0 is a completion now.
+// Past kClockHorizon = 2^24 s, half an ulp of the clock exceeds kTimeEps: a
+// drain longer than a nanosecond but shorter than that half ulp is neither
+// done nor able to move the clock, so the fluid resource would re-fire at
+// the same instant forever. Fail instead of hanging; `next` = 0 is a
+// completion now. Inputs that set the clock (a job's arrival) must stay
+// below the horizon.
+inline constexpr SimTime kClockHorizon = 16777216.0;
+
 inline void check_clock_resolves(SimTime now, Seconds next) {
   DS_CHECK_MSG(next == 0 || now + next > now,
                "simulated clock at " << now << " s cannot resolve a " << next

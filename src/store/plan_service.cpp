@@ -15,8 +15,10 @@ PlanService::PlanService(PlanServiceOptions options, obs::Observability* obs)
     const Status st = profiles_.load(opt_.store_path, &load_info_);
     // A bad header is a real misconfiguration (wrong file), but it must not
     // take the service down: log and run cold, exactly like a first boot.
+    // Remember the error so save() does not replace that file.
     if (!st.is_ok()) {
       DS_WARN(st.message() << " — starting with an empty profile store");
+      load_error_ = st;
       load_info_ = core::ModelCalibrator::LoadInfo{};
       load_info_.missing = true;
     } else if (load_info_.truncated) {
@@ -78,6 +80,9 @@ void PlanService::observe(std::uint64_t signature,
 
 Status PlanService::save() const {
   if (opt_.store_path.empty()) return Status::ok();
+  if (!load_error_.is_ok())
+    return Status::error("not saving over " + opt_.store_path +
+                         ", which did not load: " + load_error_.message());
   return profiles_.save(opt_.store_path);
 }
 

@@ -34,7 +34,8 @@ struct PlanServiceOptions {
   core::CalculatorOptions calculator;
   PlanCache::Options cache;
   // When set, the ctor loads this store file (missing file = cold start)
-  // and save() persists back to it.
+  // and save() persists back to it — unless the file existed but did not
+  // load (wrong magic, other version): save() then leaves it untouched.
   std::string store_path;
 };
 
@@ -63,7 +64,8 @@ class PlanService {
   void observe(std::uint64_t signature, const core::PhaseObservation& obs);
 
   // Persist the calibrator to options().store_path (no-op Status::ok()
-  // when no path is configured).
+  // when no path is configured). An error naming the path, and no write,
+  // when the constructor could not read that file.
   Status save() const;
 
   core::ModelCalibrator& profiles() { return profiles_; }
@@ -80,6 +82,7 @@ class PlanService {
   core::ModelCalibrator profiles_;
   PlanCache cache_;
   core::ModelCalibrator::LoadInfo load_info_;
+  Status load_error_;
   obs::Counter plans_;
   obs::Counter cold_plans_;
 };

@@ -3,6 +3,7 @@
 #include <array>
 #include <numeric>
 
+#include "obs/obs.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "util/check.h"
@@ -80,6 +81,56 @@ TEST(Fabric, IncastSharesDestinationIngress) {
   for (double d : done) EXPECT_NEAR(d, 10.0, 1e-6);  // 90/3 = 30 B/s each
 }
 
+TEST(Fabric, ShuffleFanInReallocatesOncePerInstant) {
+  // The incast above is one reducer's fan-in: three flows started at one
+  // instant take one water-filling pass over 3 flows (not 3 passes over
+  // 1 + 2 + 3), and their simultaneous completion leaves no flow to
+  // allocate.
+  obs::Observability obs;
+  Simulator sim;
+  NetworkFabric net(sim, {100.0, 100.0, 100.0, 90.0}, 1000.0, 0.0, {}, 0, &obs);
+  for (int s = 0; s < 3; ++s) net.start_flow({.src = s, .dst = 3, .bytes = 300.0});
+  sim.run();
+  EXPECT_EQ(obs.metrics.counter("net.reallocations").value(), 1u);
+  EXPECT_EQ(obs.metrics.counter("net.realloc_flows").value(), 3u);
+  EXPECT_EQ(obs.metrics.counter("net.flows_completed").value(), 3u);
+}
+
+TEST(Fabric, CompletionKeepsItsPlaceInTheTieOrder) {
+  // A flow due at t = 1 was started before an unrelated event was scheduled
+  // for t = 1, so the flow completes first — its completion event ties as
+  // if filed at start_flow, not at the later flush.
+  Simulator sim;
+  NetworkFabric net(sim, {100.0, 100.0, 100.0, 100.0}, 1000.0);
+  std::vector<char> order;
+  net.start_flow({.src = 0, .dst = 1, .bytes = 100.0, .on_complete = [&] { order.push_back('f'); }});
+  sim.schedule_at(1.0, [&] { order.push_back('e'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'f', 'e'}));
+
+  // A second start_flow at the same instant re-files the completion behind
+  // the event, exactly as an eager reallocation would have.
+  Simulator sim2;
+  NetworkFabric net2(sim2, {100.0, 100.0, 100.0, 100.0}, 1000.0);
+  order.clear();
+  net2.start_flow({.src = 0, .dst = 1, .bytes = 100.0, .on_complete = [&] { order.push_back('f'); }});
+  sim2.schedule_at(1.0, [&] { order.push_back('e'); });
+  net2.start_flow({.src = 2, .dst = 3, .bytes = 1e6});
+  sim2.run_until(1.0);
+  EXPECT_EQ(order, (std::vector<char>{'e', 'f'}));
+}
+
+TEST(Fabric, DestroyedWhileDirtyLeavesTheFlushList) {
+  Simulator sim;
+  {
+    NetworkFabric net(sim, {100.0, 100.0}, 1000.0);
+    net.start_flow({.src = 0, .dst = 1, .bytes = 100.0});
+  }
+  sim.schedule_at(1.0, [] {});
+  EXPECT_TRUE(sim.step());
+  EXPECT_FALSE(sim.step());
+}
+
 TEST(Fabric, LoopbackFlowsBypassNic) {
   Simulator sim;
   NetworkFabric net(sim, {10.0, 10.0}, 1000.0);
@@ -108,10 +159,18 @@ TEST(Fabric, RatesVisibleForMetrics) {
   Simulator sim;
   NetworkFabric net(sim, {100.0, 60.0}, 1000.0);
   net.start_flow({.src = 0, .dst = 1, .bytes = 1e6});
+  // Read before the simulator runs: the read flushes the pending pass.
+  EXPECT_NEAR(net.node_rx_rate(1), 60.0, 1e-9);
+  EXPECT_NEAR(net.node_tx_rate(0), 60.0, 1e-9);
   sim.run_until(1.0);
   EXPECT_NEAR(net.node_rx_rate(1), 60.0, 1e-9);
   EXPECT_NEAR(net.node_tx_rate(0), 60.0, 1e-9);
   EXPECT_NEAR(net.node_rx_rate(0), 0.0, 1e-9);
+  std::vector<BytesPerSec> rx;
+  net.node_rx_rates(rx);
+  ASSERT_EQ(rx.size(), 2u);
+  EXPECT_EQ(rx[0], net.node_rx_rate(0));
+  EXPECT_EQ(rx[1], net.node_rx_rate(1));
   EXPECT_EQ(net.active_flows(), 1u);
 }
 
@@ -165,11 +224,13 @@ TEST(Fabric, RejectsBadFlows) {
 
 TEST(Fabric, DrainBelowClockResolutionFailsInsteadOfHanging) {
   // Past 2^24 s half an ulp of the clock exceeds a nanosecond: a 1.5 ns
-  // drain could never move the clock, so starting it is a CheckError.
+  // drain could never move the clock, so filing its completion (at the
+  // flush that follows start_flow) is a CheckError.
   Simulator sim;
   NetworkFabric net(sim, {1e9, 1e9}, 1e9);
   sim.run_until(16777216.0 + 1.0);
-  EXPECT_THROW(net.start_flow({.src = 0, .dst = 1, .bytes = 1.5}), CheckError);
+  net.start_flow({.src = 0, .dst = 1, .bytes = 1.5});
+  EXPECT_THROW(sim.run(), CheckError);
 }
 
 }  // namespace

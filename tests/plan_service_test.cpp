@@ -341,13 +341,20 @@ TEST(CalibrationStore, BadMagicIsAStatusErrorNotACrash) {
       core::JobProfile::from(job, sim::ClusterSpec::three_node());
   const core::DelaySchedule direct =
       core::DelayCalculator(profile, core::CalculatorOptions{}).compute();
+  // ...and never saves over the file it could not read: save() is an
+  // error naming the path, and the file's bytes are unchanged.
   auto expect_cold_service = [&] {
+    const std::string before = read_file(path);
     PlanServiceOptions opt;
     opt.store_path = path;
     PlanService service(opt);
     EXPECT_TRUE(service.load_info().missing);
     EXPECT_EQ(service.profiles().workloads(), 0u);
     expect_same_plan(*service.plan(job, profile).plan, direct);
+    const Status saved = service.save();
+    EXPECT_FALSE(saved.is_ok());
+    EXPECT_NE(saved.message().find(path), std::string::npos) << saved.message();
+    EXPECT_EQ(read_file(path), before);
   };
   expect_cold_service();
 

@@ -351,6 +351,19 @@ TEST(SchedNdjson, RejectsOutOfRangeNumbers) {
                   R"({"workload": "lda", "priority": -2147483648})", &r)
                   .is_ok());
   EXPECT_EQ(r.priority, -2147483647 - 1);
+  // "arrival" is a number below the 2^24 s clock horizon; past it a drain
+  // could not move the clock.
+  for (const std::string arrival : {"1.7e7", "1e300", R"("soon")"}) {
+    const Status st = service::parse_request(
+        R"({"workload": "lda", "arrival": )" + arrival + "}", &r);
+    EXPECT_FALSE(st.is_ok()) << arrival;
+    EXPECT_NE(st.message().find("\"arrival\""), std::string::npos)
+        << st.message();
+  }
+  ASSERT_TRUE(service::parse_request(
+                  R"({"workload": "lda", "arrival": 1.6e7})", &r)
+                  .is_ok());
+  EXPECT_EQ(r.arrival, 1.6e7);
   // Integer fields take integers only: a fraction, a string or a value no
   // int holds is an error that names the field.
   for (const std::string fields :
