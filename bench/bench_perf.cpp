@@ -124,12 +124,22 @@ void planner() {
       copt.threads = threads;
       const core::DelayCalculator calc(profile, copt);
       // Warm-up plan (first-touch allocation of the thread-local scratch
-      // arenas), then the timed repetitions.
+      // arenas), then the timed repetitions: at least kMinReps plans and
+      // kMinWindowMs of wall clock. A 3 ms plan timed five times is a 17 ms
+      // window, which one scheduler stall on a shared host can halve; the
+      // mean over the longer window reads the same code speed.
       core::DelaySchedule sched = calc.compute();
-      constexpr int kReps = 5;
+      constexpr int kMinReps = 5;
+      constexpr double kMinWindowMs = 250;
+      int reps = 0;
+      double window_ms = 0;
       const auto t0 = Clock::now();
-      for (int r = 0; r < kReps; ++r) sched = calc.compute();
-      const double ms = ms_since(t0) / kReps;
+      do {
+        sched = calc.compute();
+        ++reps;
+        window_ms = ms_since(t0);
+      } while (reps < kMinReps || window_ms < kMinWindowMs);
+      const double ms = window_ms / reps;
 
       if (reference_delay.empty()) reference_delay = sched.delay;
       DS_CHECK_MSG(sched.delay == reference_delay,

@@ -48,6 +48,9 @@
 // replays the inter-arrival gaps and DAGs of an Alibaba batch_task CSV
 // (--rate then rescales the gaps, preserving burstiness); --jobs-in reads
 // NDJSON submissions (see service/ndjson.h for the v1 schema; `-` = stdin).
+// A line that does not parse, or a {"cmd": "save"}, is answered in stream
+// order with serve's error row ({"v": 1, "id": …, "error": "line N: …"})
+// and skipped; the stream goes on, and the exit status is then 1.
 // Each finished job prints one NDJSON line on stdout; the fleet summary
 // (wait, slowdown, p99 JCT, cache hit rate) goes to stderr, and
 // --report-out writes it as JSON. --no-delay disables DelayStage planning
@@ -568,6 +571,7 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
   const double rate = cli::num_flag(argc, argv, "--rate", 0.02);
   if (rate <= 0) throw std::runtime_error("--rate must be > 0");
 
+  bool rejected = false;  // a --jobs-in line was answered with an error row
   if (!jobs_in.empty()) {
     std::ifstream file;
     std::istream* in = &std::cin;
@@ -578,14 +582,25 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
     }
     std::string line;
     Seconds prev = 0;  // absent arrivals ride with the previous job's
+    int line_no = 0;
     while (std::getline(*in, line)) {
+      ++line_no;
       if (line.empty()) continue;
       service::Request req;
-      if (const Status st = service::parse_request(line, &req); !st.is_ok())
-        throw std::runtime_error(st.message());
-      if (req.kind == service::Request::Kind::kSave)
-        throw std::runtime_error(
+      Status st = service::parse_request(line, &req);
+      if (st.is_ok() && req.kind == service::Request::Kind::kSave)
+        st = Status::error(
             "cmd \"save\" is a serve command (sched --jobs-in takes stats)");
+      if (!st.is_ok()) {
+        // Answered in stream order as serve answers it, then skipped: the
+        // jobs already accepted still run.
+        std::cout << service::error_response(
+                         req.object.find("id"),
+                         "line " + std::to_string(line_no) + ": " + st.message())
+                  << '\n';
+        rejected = true;
+        continue;
+      }
       if (req.kind == service::Request::Kind::kStats) {
         // Answer in stream order: advance past the preceding submissions'
         // arrival time, then emit one live state line.
@@ -658,7 +673,7 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
     if (!out) throw std::runtime_error("failed writing " + cf.report_out);
     std::cerr << "# fleet report written to " << cf.report_out << '\n';
   }
-  return fs.failed == 0 ? 0 : 1;
+  return fs.failed == 0 && !rejected ? 0 : 1;
 }
 
 // Trace statistics (§2.1) plus a Fuxi vs DelayStage replay of a 300-job

@@ -31,8 +31,8 @@ JobRun::JobRun(sim::Cluster& cluster, const dag::JobDag& dag, RunOptions opt)
       m_speculative_(obs::counter(opt_.obs, "engine.speculative_copies")),
       m_stages_finished_(obs::counter(opt_.obs, "engine.stages_finished")),
       m_replans_(obs::counter(opt_.obs, "engine.replans")),
-      m_task_seconds_(obs::histogram(opt_.obs, "engine.task_seconds",
-                                     obs::exponential_buckets(1.0, 1.6, 24))) {
+      m_task_seconds_(
+          obs::histogram(opt_.obs, "engine.task_seconds", 1.0, 1.6, 24)) {
   DS_CHECK_MSG(static_cast<std::uint64_t>(cluster.total_nodes()) < kMaxNodes,
                "cluster too large for push keys");
   DS_CHECK_MSG(opt_.task_failure_rate >= 0 && opt_.task_failure_rate < 1.0,
@@ -502,8 +502,9 @@ void JobRun::on_compute_done(dag::StageId s, int t, int a) {
   const Bytes out =
       spec.output_per_task() * st(s).mult[static_cast<std::size_t>(t)];
   at.writing = true;
-  at.disk_claim = cluster_.disk(at.node).submit(
-      out, [this, s, t, a] { on_write_done(s, t, a); });
+  at.disk_write = cluster_.disk(at.node).start_flow(
+      {.src = 0, .dst = 0, .bytes = out,
+       .on_complete = [this, s, t, a] { on_write_done(s, t, a); }});
 }
 
 void JobRun::on_write_done(dag::StageId s, int t, int a) {
@@ -563,7 +564,7 @@ void JobRun::kill_attempt(dag::StageId s, int t, int a, bool node_lost) {
   if (at.compute_event != sim::kInvalidEvent)
     cluster_.sim().cancel(at.compute_event);
   if (at.computing) cluster_.end_compute(at.node);
-  if (at.writing) cluster_.disk(at.node).cancel(at.disk_claim);
+  if (at.writing) cluster_.disk(at.node).cancel(at.disk_write);
   rec(s).wasted_seconds += cluster_.sim().now() - at.started;
   --state.slots_held;
   // A crashed node's slots are forfeited by the pool wholesale; only kills

@@ -169,7 +169,7 @@ class JobRun {
     std::vector<AttemptFlow> flows;
     sim::EventId compute_event = sim::kInvalidEvent;
     bool writing = false;
-    sim::ClaimId disk_claim = 0;
+    sim::FlowId disk_write = 0;  // loopback flow on cluster_.disk(node)
     // Tracing only (trace_ != nullptr): the slot lane this attempt occupies
     // on its node's trace track, and when its current phase began.
     int lane = -1;

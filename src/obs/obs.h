@@ -21,7 +21,7 @@
 #pragma once
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -50,18 +50,24 @@ struct Observability {
   void refresh_derived();
 };
 
-inline Counter counter(Observability* obs, const std::string& name) {
-  return obs != nullptr ? obs->metrics.counter(name) : Counter();
+// The resolvers build the metric name (and a histogram's buckets) only for a
+// live sink: a null sink allocates nothing, so components built in bulk
+// without one (every node's disk fabric) pay nothing for instrumentation.
+inline Counter counter(Observability* obs, std::string_view name) {
+  return obs != nullptr ? obs->metrics.counter(std::string(name)) : Counter();
 }
 
-inline Gauge gauge(Observability* obs, const std::string& name) {
-  return obs != nullptr ? obs->metrics.gauge(name) : Gauge();
+inline Gauge gauge(Observability* obs, std::string_view name) {
+  return obs != nullptr ? obs->metrics.gauge(std::string(name)) : Gauge();
 }
 
-inline Histogram histogram(Observability* obs, const std::string& name,
-                           std::vector<double> bounds) {
-  return obs != nullptr ? obs->metrics.histogram(name, std::move(bounds))
-                        : Histogram();
+// Buckets are exponential_buckets(start, factor, count).
+inline Histogram histogram(Observability* obs, std::string_view name,
+                           double start, double factor, int count) {
+  return obs != nullptr
+             ? obs->metrics.histogram(std::string(name),
+                                      exponential_buckets(start, factor, count))
+             : Histogram();
 }
 
 inline Tracer* tracer(Observability* obs) {

@@ -32,7 +32,8 @@
 //     previous job) and "priority" (the class, lower
 //     = more important). "stats" answers in stream order with one live
 //     {"ev": "stats"} state line (Scheduler::write_stats), evaluated after
-//     the preceding submissions; "save" is an error.
+//     the preceding submissions; "save" is an error. A rejected line gets
+//     an error response naming its line number and the stream goes on.
 #pragma once
 
 #include <iosfwd>

@@ -92,14 +92,13 @@ Scheduler::Scheduler(SchedulerOptions options)
       m_active_jobs_(obs::gauge(opt_.obs, "sched.active_jobs")),
       m_slot_occupancy_(obs::gauge(opt_.obs, "sched.slot_occupancy")),
       m_ledger_slots_busy_(obs::gauge(opt_.obs, "sched.ledger_slots_busy")),
-      m_wait_seconds_(obs::histogram(opt_.obs, "sched.wait_seconds",
-                                     obs::exponential_buckets(1.0, 2.0, 20))),
-      m_jct_seconds_(obs::histogram(opt_.obs, "sched.jct_seconds",
-                                    obs::exponential_buckets(1.0, 1.6, 28))),
-      m_slowdown_(obs::histogram(opt_.obs, "sched.slowdown",
-                                 obs::exponential_buckets(1.0, 1.3, 24))),
-      m_plan_wall_(obs::histogram(opt_.obs, "planner.plan_wall_seconds",
-                                  obs::exponential_buckets(1e-6, 4.0, 16))) {
+      m_wait_seconds_(
+          obs::histogram(opt_.obs, "sched.wait_seconds", 1.0, 2.0, 20)),
+      m_jct_seconds_(
+          obs::histogram(opt_.obs, "sched.jct_seconds", 1.0, 1.6, 28)),
+      m_slowdown_(obs::histogram(opt_.obs, "sched.slowdown", 1.0, 1.3, 24)),
+      m_plan_wall_(obs::histogram(opt_.obs, "planner.plan_wall_seconds", 1e-6,
+                                  4.0, 16)) {
   if (Status s = validate(opt_); !s) DS_CHECK_MSG(false, s.message());
   mean_worker_bw_ = ledger_.total_bandwidth() / cluster_->num_workers();
   flight_ = obs::flight(opt_.obs);

@@ -89,7 +89,8 @@ Cluster::Cluster(Simulator& sim, const ClusterSpec& spec, std::uint64_t seed,
 
   disks_.reserve(static_cast<std::size_t>(spec.total_nodes()));
   for (int i = 0; i < spec.total_nodes(); ++i) {
-    disks_.push_back(std::make_unique<FairQueue>(sim, spec.disk_bw));
+    disks_.push_back(std::make_unique<NetworkFabric>(
+        sim, std::vector<BytesPerSec>{spec.disk_bw}, spec.disk_bw));
   }
   computing_.assign(static_cast<std::size_t>(spec.num_workers), 0);
 

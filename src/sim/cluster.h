@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/executor_pool.h"
-#include "sim/fair_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "util/status.h"
@@ -94,7 +93,11 @@ class Cluster {
   const NetworkFabric& fabric() const { return *fabric_; }
   ExecutorPool& executors() { return *executors_; }
   const ExecutorPool& executors() const { return *executors_; }
-  FairQueue& disk(NodeId n) { return *disks_.at(static_cast<std::size_t>(n)); }
+  // Node n's local disk: a one-node fabric (NIC and loopback both
+  // spec.disk_bw, β = 0, no obs sink). A shuffle write is the loopback flow
+  // {src 0, dst 0, bytes}; its one port splits the disk equally among the
+  // w concurrent writers, D / w — the paper's Eq. (1) write share.
+  NetworkFabric& disk(NodeId n) { return *disks_.at(static_cast<std::size_t>(n)); }
 
   BytesPerSec nic_bw(NodeId n) const { return fabric_->nic_bw(n); }
 
@@ -112,7 +115,7 @@ class Cluster {
   ClusterSpec spec_;
   std::unique_ptr<NetworkFabric> fabric_;
   std::unique_ptr<ExecutorPool> executors_;
-  std::vector<std::unique_ptr<FairQueue>> disks_;
+  std::vector<std::unique_ptr<NetworkFabric>> disks_;
   std::vector<int> computing_;
   std::vector<double> speeds_;
 };

@@ -14,8 +14,7 @@ ExecutorPool::ExecutorPool(Simulator& sim, std::vector<int> slots_per_node,
       requests_(obs::counter(obs, "exec.requests")),
       grants_(obs::counter(obs, "exec.grants")),
       queued_gauge_(obs::gauge(obs, "exec.queued")),
-      wait_seconds_(obs::histogram(obs, "exec.wait_seconds",
-                                   obs::exponential_buckets(0.1, 2.0, 20))) {
+      wait_seconds_(obs::histogram(obs, "exec.wait_seconds", 0.1, 2.0, 20)) {
   DS_CHECK_MSG(!slots_.empty(), "executor pool needs at least one node");
   for (int s : slots_) DS_CHECK_MSG(s >= 0, "negative slot count");
   busy_.assign(slots_.size(), 0);

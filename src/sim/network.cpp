@@ -116,10 +116,8 @@ NetworkFabric::NetworkFabric(Simulator& sim, std::vector<BytesPerSec> nic_bw,
       reallocations_(obs::counter(obs, "net.reallocations")),
       realloc_flows_(obs::counter(obs, "net.realloc_flows")),
       bytes_delivered_(obs::gauge(obs, "net.bytes_delivered")),
-      flow_seconds_(obs::histogram(obs, "net.flow_seconds",
-                                   obs::exponential_buckets(0.05, 2.0, 22))),
-      flow_bytes_(obs::histogram(obs, "net.flow_bytes",
-                                 obs::exponential_buckets(1e5, 4.0, 18))) {
+      flow_seconds_(obs::histogram(obs, "net.flow_seconds", 0.05, 2.0, 22)),
+      flow_bytes_(obs::histogram(obs, "net.flow_bytes", 1e5, 4.0, 18)) {
   DS_CHECK_MSG(!nic_bw_.empty(), "fabric needs at least one node");
   for (const auto bw : nic_bw_) DS_CHECK_MSG(bw > 0, "non-positive NIC bandwidth");
   DS_CHECK_MSG(loopback_bw_ > 0, "non-positive loopback bandwidth");
@@ -257,26 +255,6 @@ void NetworkFabric::cancel(FlowId id) {
   if (slot < 0) return;
   free_slot(slot);
   mark_dirty();
-}
-
-BytesPerSec NetworkFabric::node_rx_rate(NodeId n) {
-  flush();
-  BytesPerSec sum = 0;
-  for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
-    const Flow& f = slab_[static_cast<std::size_t>(i)];
-    if (f.dst == n && f.src != f.dst) sum += f.rate;
-  }
-  return sum;
-}
-
-BytesPerSec NetworkFabric::node_tx_rate(NodeId n) {
-  flush();
-  BytesPerSec sum = 0;
-  for (std::int32_t i = head_; i >= 0; i = slab_[static_cast<std::size_t>(i)].next) {
-    const Flow& f = slab_[static_cast<std::size_t>(i)];
-    if (f.src == n && f.src != f.dst) sum += f.rate;
-  }
-  return sum;
 }
 
 void NetworkFabric::node_rx_rates(std::vector<BytesPerSec>& out) {

@@ -7,7 +7,9 @@
 // over those ports (progressive water-filling). This yields exactly the
 // equal-share behaviour the paper's Eq. (1) assumes when parallel stages
 // contend for a link, plus realistic incast when many reducers pull from one
-// upstream node.
+// upstream node. The same class models each node's local disk
+// (Cluster::disk): a one-node fabric whose shuffle writes are loopback
+// flows, so its one port gives each of w concurrent writers D / w.
 //
 // Once per instant. A flow start, cancel, link-scale change or completion
 // only marks the fabric dirty; the allocation is recomputed once, when the
@@ -18,9 +20,8 @@
 // event order is kept through reserved sequence numbers. Each dirtying
 // call reserves the number (Simulator::reserve_seq) that an eager
 // reallocation would have given its completion event at that point; the
-// flush files the event under the last one. Reads of a rate
-// (node_rx_rate/node_tx_rate/node_rx_rates) flush first, so nothing sees a
-// stale rate.
+// flush files the event under the last one. A rate read (node_rx_rates)
+// flushes first, so nothing sees a stale rate.
 //
 // Hot-path layout (this fabric is most of engine-run time, so it follows the
 // same discipline as the event core): flows live in a slab with an intrusive
@@ -122,29 +123,15 @@ class NetworkFabric : private Flushable {
   int num_nodes() const { return static_cast<int>(nic_bw_.size()); }
   std::size_t active_flows() const { return num_active_; }
   BytesPerSec nic_bw(NodeId n) const { return nic_bw_.at(static_cast<std::size_t>(n)); }
-  // Sum of provisioned access-link bandwidth across all nodes — the fabric's
-  // aggregate capacity, used by capacity ledgers (ds::service::ClusterLedger)
-  // as the bandwidth budget against which job commitments are charged.
-  BytesPerSec total_nic_bw() const {
-    BytesPerSec total = 0.0;
-    for (BytesPerSec bw : nic_bw_) total += bw;
-    return total;
-  }
 
   // Scale node n's access link (egress + ingress) to `factor` × its
   // provisioned bandwidth — the FaultInjector's degradation windows. Active
   // flows are re-allocated at this instant; 1.0 restores full capacity.
   void set_node_scale(NodeId n, double factor);
-  double node_scale(NodeId n) const {
-    return link_scale_.empty() ? 1.0 : link_scale_.at(static_cast<std::size_t>(n));
-  }
 
-  // Instantaneous NIC throughput for metrics sampling (remote flows only —
-  // loopback traffic never touches the NIC). Each flushes a pending
-  // reallocation first. node_rx_rates fills out[n] = node_rx_rate(n) for
-  // every node in one pass over the flows (same per-node summation order).
-  BytesPerSec node_rx_rate(NodeId n);
-  BytesPerSec node_tx_rate(NodeId n);
+  // Instantaneous NIC ingress throughput for metrics sampling: out[n] is
+  // the summed rate of the remote flows into node n (loopback traffic never
+  // touches the NIC). Flushes a pending reallocation first.
   void node_rx_rates(std::vector<BytesPerSec>& out);
   // Total bytes delivered over the fabric so far (lazy; call sync() to get
   // an up-to-the-instant figure).

@@ -18,8 +18,6 @@ using SimTime = ds::Seconds;
 // anything observable but far above accumulated double error.
 inline constexpr double kFluidEps = 1e-6;
 
-inline bool approx_done(double remaining) { return remaining <= kFluidEps; }
-
 // Completion test for fluid work being serviced at `rate`. The byte-absolute
 // epsilon alone is not enough: accumulated float error can leave a residue
 // slightly above kFluidEps whose drain time at a high rate is *below double

@@ -1,10 +1,10 @@
 // Steady-state allocation regression tests for the event core and the fluid
 // resources built on it. The whole point of the slab + inline-callback
 // design is that scheduling, cancelling and firing events — and starting,
-// finishing and cancelling flows/claims — allocates NOTHING once the arenas
-// reach their high-water mark. These tests count every global operator
-// new/delete (including the aligned forms the alignas(64) slab nodes use)
-// and assert the steady-state delta is exactly zero.
+// finishing and cancelling flows, disk writes included — allocates NOTHING
+// once the arenas reach their high-water mark. These tests count every
+// global operator new/delete (including the aligned forms the alignas(64)
+// slab nodes use) and assert the steady-state delta is exactly zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,8 +12,8 @@
 #include <new>
 
 #include "engine/job_run.h"
+#include "obs/obs.h"
 #include "sim/cluster.h"
-#include "sim/fair_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "util/inline_function.h"
@@ -137,29 +137,46 @@ TEST(EventAlloc, SteadyFlowChurnAllocatesNothing) {
   EXPECT_EQ(alloc_count() - before, 0u) << "flow start/finish allocated";
 }
 
-struct ClaimLoop {
-  FairQueue* disk = nullptr;
+struct WriteLoop {
+  NetworkFabric* disk = nullptr;
   int remaining = 0;
   int next = 0;
 };
 
-void submit_claim(ClaimLoop* cl) {
-  if (cl->remaining-- <= 0) return;
-  const Bytes volume = 1e5 + 1e4 * (cl->next++ % 5);
-  cl->disk->submit(volume, [cl] { submit_claim(cl); });
+void submit_write(WriteLoop* wl) {
+  if (wl->remaining-- <= 0) return;
+  const Bytes volume = 1e5 + 1e4 * (wl->next++ % 5);
+  wl->disk->start_flow({.src = 0, .dst = 0, .bytes = volume,
+                        .on_complete = [wl] { submit_write(wl); }});
 }
 
 TEST(EventAlloc, SteadyClaimChurnAllocatesNothing) {
+  // Shuffle writes on a node's disk: loopback flows on its one-node fabric.
   Simulator sim;
-  FairQueue disk(sim, 100e6);
-  ClaimLoop cl{&disk, 200, 0};
-  for (int i = 0; i < 6; ++i) submit_claim(&cl);
-  sim.run();
-  cl.remaining = 5000;
-  for (int i = 0; i < 6; ++i) submit_claim(&cl);
+  Cluster cluster(sim, ClusterSpec::three_node(), 1);
+  WriteLoop wl{&cluster.disk(0), 200, 0};
+  for (int i = 0; i < 6; ++i) submit_write(&wl);
+  sim.run();  // warm-up: flow slab + max-min scratch arenas sized
+  wl.remaining = 5000;
+  for (int i = 0; i < 6; ++i) submit_write(&wl);
   const std::size_t before = alloc_count();
   sim.run();
-  EXPECT_EQ(alloc_count() - before, 0u) << "claim submit/finish allocated";
+  EXPECT_EQ(alloc_count() - before, 0u) << "disk write start/finish allocated";
+}
+
+TEST(EventAlloc, NullSinkHandlesAllocateNothing) {
+  // Names past the 15-character small-string buffer: a resolver that built
+  // the name (or a histogram's bucket vector) before its null check would
+  // allocate for every component constructed without a sink.
+  const std::size_t before = alloc_count();
+  const obs::Counter c = obs::counter(nullptr, "net.flows_started");
+  const obs::Gauge g = obs::gauge(nullptr, "net.bytes_delivered");
+  const obs::Histogram h =
+      obs::histogram(nullptr, "net.flow_seconds", 0.05, 2.0, 22);
+  EXPECT_EQ(alloc_count() - before, 0u) << "a null-sink resolver allocated";
+  EXPECT_FALSE(c.enabled());
+  EXPECT_FALSE(g.enabled());
+  EXPECT_FALSE(h.enabled());
 }
 
 TEST(EventAlloc, EngineCallbacksAllFitInline) {

@@ -160,17 +160,14 @@ TEST(Fabric, RatesVisibleForMetrics) {
   NetworkFabric net(sim, {100.0, 60.0}, 1000.0);
   net.start_flow({.src = 0, .dst = 1, .bytes = 1e6});
   // Read before the simulator runs: the read flushes the pending pass.
-  EXPECT_NEAR(net.node_rx_rate(1), 60.0, 1e-9);
-  EXPECT_NEAR(net.node_tx_rate(0), 60.0, 1e-9);
-  sim.run_until(1.0);
-  EXPECT_NEAR(net.node_rx_rate(1), 60.0, 1e-9);
-  EXPECT_NEAR(net.node_tx_rate(0), 60.0, 1e-9);
-  EXPECT_NEAR(net.node_rx_rate(0), 0.0, 1e-9);
   std::vector<BytesPerSec> rx;
   net.node_rx_rates(rx);
   ASSERT_EQ(rx.size(), 2u);
-  EXPECT_EQ(rx[0], net.node_rx_rate(0));
-  EXPECT_EQ(rx[1], net.node_rx_rate(1));
+  EXPECT_NEAR(rx[1], 60.0, 1e-9);
+  sim.run_until(1.0);
+  net.node_rx_rates(rx);
+  EXPECT_NEAR(rx[0], 0.0, 1e-9);
+  EXPECT_NEAR(rx[1], 60.0, 1e-9);
   EXPECT_EQ(net.active_flows(), 1u);
 }
 
@@ -220,6 +217,8 @@ TEST(Fabric, RejectsBadFlows) {
   EXPECT_THROW(net.start_flow({.src = 0, .dst = 5, .bytes = 1.0}), CheckError);
   EXPECT_THROW(net.start_flow({.src = -1, .dst = 0, .bytes = 1.0}), CheckError);
   EXPECT_THROW(net.start_flow({.src = 0, .dst = 0, .bytes = -1.0}), CheckError);
+  EXPECT_THROW(NetworkFabric(sim, {0.0}, 1000.0), CheckError);
+  EXPECT_THROW(NetworkFabric(sim, {100.0}, 0.0), CheckError);
 }
 
 TEST(Fabric, DrainBelowClockResolutionFailsInsteadOfHanging) {
