@@ -1145,7 +1145,7 @@ void faults() {
 //
 //   static             plan once on the believed profile, reuse verbatim
 //   calibrated         AdaptivePlanner plan/observe loop, replanning off
-//   calibrated_replan  same loop with the default ReplanPolicy armed
+//   calibrated_replan  same loop with replanning armed
 //
 // All times are simulated, so the golden pins exact model outcomes.
 void adaptive() {
@@ -1236,7 +1236,7 @@ void adaptive() {
         }
       } else {
         core::AdaptiveOptions aopt;
-        aopt.replan.enabled = m == "calibrated_replan";
+        aopt.replan = m == "calibrated_replan";
         core::AdaptivePlanner planner(believed, aopt);
         for (int r = 0; r < sc.recurrences; ++r) {
           planner.plan();

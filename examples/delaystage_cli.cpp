@@ -63,7 +63,7 @@
 // legacy mean-ish estimate (0 = off, the bit-exact legacy model). --replan
 // (run, DelayStage strategies only) arms mid-job replanning: on model drift
 // or a node crash the remaining stages' delays are recomputed against the
-// live cluster (see engine/replan.h for the policy bounds).
+// live cluster (see engine/replan.h for the guard constants).
 //
 // Observability (all commands): --trace-out FILE writes a Chrome
 // trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev);
@@ -124,6 +124,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -333,7 +334,7 @@ int cmd_run(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
     aopt.calculator.obs = sink.get();
     aopt.calculator.model.quantile = quantile;
     aopt.calculator = sched::co_optimized(aopt.calculator, opt);
-    aopt.replan.enabled = replan;
+    aopt.replan = replan;
     if (const Status st = core::validate(aopt.calculator); !st.is_ok())
       throw std::runtime_error(st.message());
     adaptive = std::make_unique<core::AdaptivePlanner>(measured, aopt);
@@ -400,7 +401,7 @@ int cmd_run(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
     return 1;
   }
   std::cout << strategy_name << " JCT: " << fmt(r.jct, 1) << " s\n";
-  if (opt.replan.enabled)
+  if (opt.replan)
     std::cout << "replans applied: " << r.replans << '\n';
   if (any_faults) {
     std::cout << "faults: " << r.node_crashes << " node crash(es), "
@@ -572,6 +573,9 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
   if (rate <= 0) throw std::runtime_error("--rate must be > 0");
 
   bool rejected = false;  // a --jobs-in line was answered with an error row
+  // The "id" each --jobs-in job line carried, echoed as its row's
+  // "request_id" (the row's own "id" is the scheduler's JobId).
+  std::map<service::JobId, json::Value> request_ids;
   if (!jobs_in.empty()) {
     std::ifstream file;
     std::istream* in = &std::cin;
@@ -609,7 +613,9 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
         continue;
       }
       prev = req.arrival >= 0 ? req.arrival : prev;
-      sched.submit_at(prev, req.dag, req.priority);
+      const service::JobId id = sched.submit_at(prev, req.dag, req.priority);
+      if (const json::Value* rid = req.object.find("id"); rid != nullptr)
+        request_ids.emplace(id, *rid);
     }
   } else if (arrival == "trace" || !trace_file.empty()) {
     if (trace_file.empty())
@@ -639,8 +645,12 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
     std::cerr << "warning: " << s.message() << '\n';
 
   const FleetStats fs = sched.fleet();
-  for (service::JobId id = 1; id <= fs.submitted; ++id)
-    service::write_job_status(std::cout, sched.poll(id));
+  for (service::JobId id = 1; id <= fs.submitted; ++id) {
+    const auto rid = request_ids.find(id);
+    service::write_job_status(
+        std::cout, sched.poll(id),
+        rid == request_ids.end() ? nullptr : &rid->second);
+  }
   std::cerr << "# " << fs.finished << "/" << fs.submitted
             << " job(s) finished (" << fs.failed << " failed), policy "
             << service::to_string(opt.policy)

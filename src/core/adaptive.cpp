@@ -35,7 +35,7 @@ void AdaptivePlanner::arm(engine::RunOptions& ro) {
     if (t.finish >= 0 && t.submitted >= 0)
       ro.predicted_durations[i] = t.finish - t.submitted;
   }
-  if (opt_.replan.enabled) {
+  if (opt_.replan) {
     ro.replanner = [this](const engine::ReplanRequest& req) {
       return replan(req);
     };

@@ -7,8 +7,8 @@
 //              base profile corrected by the workload's accumulated EWMA
 //              factors — identity on first sight, observed truth for
 //              recurrent jobs);
-//   arm(ro)    installs the plan, the ReplanPolicy and a replanner bound to
-//              this object into an engine::RunOptions, so the run can
+//   arm(ro)    installs the plan, the replan switch and a replanner bound
+//              to this object into an engine::RunOptions, so the run can
 //              replan mid-job when drift or a crash fires a trigger;
 //   observe(r) folds the finished run's measured phase spans back into the
 //              calibrator, closing the loop for the next recurrence.
@@ -19,7 +19,7 @@
 // submitted stages' delays are spent and kept verbatim. The candidate plan
 // is only offered to the engine if it scores strictly better than the
 // current delays under the same calibrated model (the engine additionally
-// applies its min_expected_gain guard). See DESIGN.md §11.
+// applies its engine::kMinExpectedGain guard). See DESIGN.md §11.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,9 @@ namespace ds::core {
 
 struct AdaptiveOptions {
   CalculatorOptions calculator;
-  // Default-constructed = replanning off: arm() then installs only the plan
-  // and the run is bit-identical to a plain DelayCalculator plan.
-  engine::ReplanPolicy replan;
+  // Off by default: arm() then installs only the plan and the run is
+  // bit-identical to a plain DelayCalculator plan.
+  bool replan = false;
 };
 
 class AdaptivePlanner {
@@ -48,7 +48,7 @@ class AdaptivePlanner {
   // workload) makes this bit-identical to DelayCalculator on `base`.
   const DelaySchedule& plan();
 
-  // Install plan + replan policy + replanner into `ro`. Requires plan();
+  // Install plan + replan switch + replanner into `ro`. Requires plan();
   // this object must outlive the JobRun (the replanner captures `this`).
   void arm(engine::RunOptions& ro);
 

@@ -35,10 +35,6 @@ Status validate(const CalculatorOptions& options) {
   if (options.model.quantile < 0 || options.model.quantile >= 1.0)
     return Status::error("CalculatorOptions: model.quantile must be in "
                          "[0, 1) — 0 plans against the mean, 0.9 against p90");
-  if (!(options.model.speculation_threshold > 1.0))
-    return Status::error("CalculatorOptions: model.speculation_threshold "
-                         "must exceed 1 (a copy only helps if the primary is "
-                         "genuinely late)");
   return Status::ok();
 }
 
@@ -191,18 +187,13 @@ DelaySchedule DelayCalculator::compute() const {
           delay[static_cast<std::size_t>(k)] = 0;
           Score best = score_of(delay);
 
-          if (opt_.coarse_to_fine) {
-            const Seconds coarse = std::max(
-                opt_.step, uk / static_cast<double>(opt_.coarse_candidates));
-            scan_candidates(k, coarse, uk, coarse, delay, best_x, best, restart);
-            // The refinement window re-visits best_x itself — a memo hit.
-            const Seconds lo = std::max(0.0, best_x - coarse);
-            const Seconds hi = std::min(uk, best_x + coarse);
-            scan_candidates(k, lo, hi, opt_.step, delay, best_x, best, restart);
-          } else {
-            scan_candidates(k, opt_.step, uk, opt_.step, delay, best_x, best,
-                            restart);
-          }
+          const Seconds coarse = std::max(
+              opt_.step, uk / static_cast<double>(opt_.coarse_candidates));
+          scan_candidates(k, coarse, uk, coarse, delay, best_x, best, restart);
+          // The refinement window re-visits best_x itself — a memo hit.
+          const Seconds lo = std::max(0.0, best_x - coarse);
+          const Seconds hi = std::min(uk, best_x + coarse);
+          scan_candidates(k, lo, hi, opt_.step, delay, best_x, best, restart);
 
           delay[static_cast<std::size_t>(k)] = best_x;  // lines 16–18
           t_max = best;

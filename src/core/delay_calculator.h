@@ -43,8 +43,8 @@ struct CalculatorOptions : CommonOptions {
   // Bound the candidate count per stage: scan a coarse grid of at most
   // `coarse_candidates` points, then refine around the best with `step`.
   // Keeps the per-stage work constant, preserving Alg. 1's ~linear scaling
-  // in |K| (Fig. 15). Set false for the paper's exhaustive slotted scan.
-  bool coarse_to_fine = true;
+  // in |K| (Fig. 15). A budget of at least u_k / step points makes the
+  // coarse grid the paper's exhaustive slotted scan.
   int coarse_candidates = 32;
   // Number of passes over the path list. Pass 1 is Alg. 1 verbatim; further
   // passes re-scan each stage with the others fixed (coordinate descent),

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "engine/job_run.h"
 #include "util/check.h"
 
 namespace ds::core {
@@ -19,8 +20,6 @@ PerfModel::PerfModel(const JobProfile& profile, ModelOptions options)
                "compute_time_scale must be positive");
   DS_CHECK_MSG(options_.quantile >= 0 && options_.quantile < 1.0,
                "model quantile must be in [0, 1)");
-  DS_CHECK_MSG(options_.speculation_threshold > 1.0,
-               "speculation threshold must exceed 1");
 }
 
 double inverse_normal_cdf(double p) {
@@ -94,10 +93,10 @@ double PerfModel::straggler_factor(dag::StageId k) const {
   }
   double factor = std::exp(s.task_skew * z);
   if (options_.speculation) {
-    // A copy launches once the primary runs speculation_threshold × the
+    // A copy launches once the primary runs kSpeculationThreshold × the
     // median; the median-speed copy then finishes ~1 median later, so the
     // effective straggler multiplier is truncated at threshold + 1.
-    factor = std::min(factor, options_.speculation_threshold + 1.0);
+    factor = std::min(factor, engine::kSpeculationThreshold + 1.0);
   }
   return factor;
 }

@@ -36,11 +36,11 @@ struct ModelOptions {
   // sees. Must be < 1.
   double quantile = 0.0;
   // Co-optimization with the engine's speculation policy: a speculative copy
-  // relaunches any task running past `speculation_threshold` × the median,
-  // which truncates the straggler distribution — the modeled inflation is
-  // capped at threshold + 1 (original wait plus a median-speed copy).
+  // relaunches any task running past engine::kSpeculationThreshold × the
+  // median, which truncates the straggler distribution — the modeled
+  // inflation is capped at threshold + 1 (original wait plus a median-speed
+  // copy).
   bool speculation = false;
-  double speculation_threshold = 1.5;
 
   bool is_identity() const { return quantile == 0.0 && !speculation; }
 };

@@ -25,7 +25,7 @@ struct ClusterProfile {
   BytesPerSec storage_net_bw = 0;
   // Cross-stage contention penalty β (measured, like B, by profiling
   // concurrent transfers): g stages interleaving on a port see aggregate
-  // capacity C / (1 + β·(g − 1)).
+  // capacity C / (1 + β·ln g).
   double congestion_penalty = 0.0;
 
   int total_executors() const { return num_workers * executors_per_worker; }

@@ -38,20 +38,14 @@ JobRun::JobRun(sim::Cluster& cluster, const dag::JobDag& dag, RunOptions opt)
   DS_CHECK_MSG(opt_.task_failure_rate >= 0 && opt_.task_failure_rate < 1.0,
                "task_failure_rate must be in [0, 1)");
   DS_CHECK_MSG(opt_.max_attempts >= 1, "max_attempts must be >= 1");
-  DS_CHECK_MSG(opt_.max_stage_resubmissions >= 0,
-               "max_stage_resubmissions must be >= 0");
   DS_CHECK_MSG(!(opt_.plan.pipelined_shuffle && opt_.task_failure_rate > 0),
                "fault injection is incompatible with pipelined shuffle");
   DS_CHECK_MSG(!(opt_.plan.pipelined_shuffle && opt_.faults != nullptr),
                "node fault injection is incompatible with pipelined shuffle");
   DS_CHECK_MSG(!(opt_.plan.pipelined_shuffle && opt_.speculation),
                "speculation is incompatible with pipelined shuffle");
-  DS_CHECK_MSG(opt_.speculation_threshold > 1.0,
-               "speculation threshold must exceed 1");
-  DS_CHECK_MSG(!opt_.replan.enabled || opt_.replanner,
+  DS_CHECK_MSG(!opt_.replan || opt_.replanner,
                "replanning enabled but no replanner installed");
-  DS_CHECK_MSG(opt_.replan.max_replans >= 0, "max_replans must be >= 0");
-  DS_CHECK_MSG(opt_.replan.cooldown >= 0, "replan cooldown must be >= 0");
   if (opt_.faults != nullptr) {
     DS_CHECK_MSG(&opt_.faults->cluster() == &cluster_,
                  "fault injector drives a different cluster");
@@ -589,7 +583,7 @@ void JobRun::maybe_speculate(dag::StageId s) {
     const Attempt& primary = attempt(s, t, 0);
     if (!primary.live) continue;                 // queued, parked or re-queued
     if (state.spec_requested[ti]) continue;      // copy queued or running
-    if (now - primary.started <= opt_.speculation_threshold * median) continue;
+    if (now - primary.started <= kSpeculationThreshold * median) continue;
     state.spec_requested[ti] = true;
     ++speculative_attempts_;
     m_speculative_.inc();
@@ -708,7 +702,7 @@ void JobRun::demand_parents(dag::StageId s) {
       flight_record(obs::FlightKind::kRecovery, p,
                     static_cast<double>(reopened_tasks),
                     static_cast<double>(r.resubmissions), "stage_resubmit");
-      if (r.resubmissions > opt_.max_stage_resubmissions) {
+      if (r.resubmissions > kMaxStageResubmissions) {
         fail_job("stage " + std::to_string(p) + " resubmitted " +
                  std::to_string(r.resubmissions) +
                  " times (max_stage_resubmissions)");
@@ -814,14 +808,14 @@ void JobRun::on_node_crashed(sim::NodeId w) {
 }
 
 void JobRun::consider_replan(dag::StageId trigger, const char* reason) {
-  const ReplanPolicy& pol = opt_.replan;
-  if (!pol.enabled || !opt_.replanner || failed_ || result_.finished()) return;
-  if (result_.replans >= pol.max_replans) return;
+  if (!opt_.replan || !opt_.replanner || failed_ || result_.finished()) return;
+  if (result_.replans >= kMaxReplans) return;
   const Seconds now = cluster_.sim().now();
   // Cooldown anchors on *attempts*, not applications: a burst of drifting
   // finishes costs at most one planner invocation per window (the thrash
-  // guard faults_test pins down).
-  if (last_replan_attempt_ >= 0 && now - last_replan_attempt_ < pol.cooldown)
+  // guard adaptive_test pins down).
+  if (last_replan_attempt_ >= 0 &&
+      now - last_replan_attempt_ < kReplanCooldown)
     return;
 
   const auto n = static_cast<std::size_t>(dag_.num_stages());
@@ -846,7 +840,7 @@ void JobRun::consider_replan(dag::StageId trigger, const char* reason) {
 
   last_replan_attempt_ = now;
   ReplanDecision d = opt_.replanner(req);
-  if (!d.apply || d.expected_gain < pol.min_expected_gain) return;
+  if (!d.apply || d.expected_gain < kMinExpectedGain) return;
 
   ++result_.replans;
   m_replans_.inc();
@@ -924,14 +918,14 @@ void JobRun::finish_stage(dag::StageId s) {
   // prediction beyond the warning threshold requests a replan *before*
   // children readiness propagates, so stages becoming ready right now
   // already pick up the corrected delays.
-  if (!state.finished_once && opt_.replan.enabled) {
+  if (!state.finished_once && opt_.replan) {
     const auto i = static_cast<std::size_t>(s);
     const Seconds predicted = i < opt_.predicted_durations.size()
                                   ? opt_.predicted_durations[i]
                                   : 0.0;
     if (predicted > 0) {
       const double rel = std::abs(r.duration() - predicted) / predicted;
-      if (rel > opt_.replan.trigger_rel_error) consider_replan(s, "drift");
+      if (rel > kReplanTriggerRelError) consider_replan(s, "drift");
     }
   }
   if (!state.finished_once) {

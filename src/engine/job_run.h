@@ -39,7 +39,7 @@
 //    is regenerated lazily and recursively: only when (and if) a downstream
 //    task actually needs the missing partitions are the producing tasks
 //    re-submitted, reopening finished stages Spark-style. Reopenings per
-//    stage are capped by max_stage_resubmissions; exceeding the cap fails
+//    stage are capped by kMaxStageResubmissions; exceeding the cap fails
 //    the job. Crash-driven re-runs do not count against max_attempts (like
 //    Spark, which exempts fetch failures from spark.task.maxFailures).
 //
@@ -66,6 +66,17 @@
 
 namespace ds::engine {
 
+// How many times a *finished* stage may be reopened because a crash
+// invalidated its stored shuffle output (Spark's
+// spark.stage.maxConsecutiveAttempts analogue). Exceeding it fails the job
+// terminally.
+inline constexpr int kMaxStageResubmissions = 4;
+// Speculative execution copies a task whose current attempt has run longer
+// than this multiple of the stage's median finished duration (Spark's
+// spark.speculation.multiplier). The planner's speculation-aware model
+// (core::ModelOptions::speculation) caps its straggler estimate with it.
+inline constexpr double kSpeculationThreshold = 1.5;
+
 // CommonOptions supplies `seed` (per-task skew multipliers and fault
 // injection) and `obs` (task/stage metrics and the per-slot span trace);
 // `threads` is ignored — the engine is single-threaded by design.
@@ -84,11 +95,6 @@ struct RunOptions : CommonOptions {
   // must be called for faults to actually fire). Incompatible with
   // pipelined_shuffle.
   sim::FaultInjector* faults = nullptr;
-  // How many times a *finished* stage may be reopened because a crash
-  // invalidated its stored shuffle output (Spark's
-  // spark.stage.maxConsecutiveAttempts analogue). Exceeding it fails the
-  // job terminally.
-  int max_stage_resubmissions = 4;
   // Task-level delay scheduling (Zaharia et al., EuroSys'10 — the technique
   // the paper contrasts DelayStage with in §1): a shuffle task first waits
   // up to this long for a slot on the worker holding most of its input
@@ -96,17 +102,17 @@ struct RunOptions : CommonOptions {
   // 0 disables; Spark's default is ~3 s.
   Seconds locality_wait = 0.0;
   // Speculative execution: once half a stage's tasks have finished, a task
-  // whose current attempt has run longer than speculation_threshold × the
+  // whose current attempt has run longer than kSpeculationThreshold × the
   // median finished duration gets a parallel copy on another executor; the
   // first finisher wins. Fixes machine-level stragglers (slow nodes, see
   // ClusterSpec::node_speed_*). Incompatible with pipelined_shuffle.
   bool speculation = false;
-  double speculation_threshold = 1.5;
   // Mid-job replanning (see engine/replan.h). Both pieces must be set for
-  // the engine to ever replan: `replan.enabled` arms the triggers, and
-  // `replanner` is invoked with a live-state snapshot when one fires. The
-  // default (disabled policy, empty replanner) is a guaranteed no-op.
-  ReplanPolicy replan;
+  // the engine to ever replan: `replan` arms the triggers, and `replanner`
+  // is invoked with a live-state snapshot when one fires. The default
+  // (off, empty replanner) is a guaranteed no-op: results are bit-identical
+  // to a build without the feature.
+  bool replan = false;
   Replanner replanner;
   // Planner-predicted stage durations (submitted → finish), indexed by
   // StageId: the drift trigger compares each finished stage against its
@@ -256,11 +262,11 @@ class JobRun {
   // Fire opt_.on_finished exactly once, after result_ is terminal.
   void notify_finished();
 
-  // --- mid-job replanning (no-op unless opt_.replan.enabled) ---
-  // Evaluate the ReplanPolicy guards, snapshot live state, invoke the
-  // replanner, and — if the decision clears min_expected_gain — install the
-  // new delays for every not-yet-submitted stage (rescheduling pending
-  // submission events in place).
+  // --- mid-job replanning (no-op unless opt_.replan) ---
+  // Evaluate the replan guards (engine/replan.h), snapshot live state,
+  // invoke the replanner, and — if the decision clears kMinExpectedGain —
+  // install the new delays for every not-yet-submitted stage (rescheduling
+  // pending submission events in place).
   void consider_replan(dag::StageId trigger, const char* reason);
 
   // --- observability (passive; no-ops when opt_.obs is null) ---

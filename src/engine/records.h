@@ -36,7 +36,7 @@ struct StageRecord {
   // --- recovery observability (fault injection) ---
   // Times a *finished* stage was reopened because a node crash invalidated
   // shuffle output it had stored (Spark's stage resubmission on fetch
-  // failure). Bounded by RunOptions::max_stage_resubmissions.
+  // failure). Bounded by kMaxStageResubmissions.
   int resubmissions = 0;
   // Completed tasks whose output was lost and had to run again.
   int tasks_rerun = 0;
@@ -60,7 +60,7 @@ struct JobResult {
   std::vector<TaskRecord> tasks;
 
   // Terminal failure: a task exceeded max_attempts or a stage exceeded
-  // max_stage_resubmissions. jct stays -1; failed_at records when the job
+  // kMaxStageResubmissions. jct stays -1; failed_at records when the job
   // gave up.
   bool failed = false;
   Seconds failed_at = -1;

@@ -6,8 +6,9 @@
 // its live state into a ReplanRequest and hands it to an installed
 // Replanner, which may answer with a fresh delay vector for the stages that
 // have not been submitted yet (already-submitted stages are frozen — their
-// delays are spent). The ReplanPolicy bounds how often this can happen so
-// replanning itself cannot thrash the run.
+// delays are spent). RunOptions::replan arms the triggers; the guard
+// constants below bound how often replanning can happen so it cannot
+// thrash the run.
 //
 // The engine knows nothing about *how* a new plan is produced: the Replanner
 // is an opaque callable (core::AdaptivePlanner provides the standard one,
@@ -26,30 +27,24 @@ namespace ds::engine {
 struct JobResult;
 struct SubmissionPlan;
 
-// Guard rails on mid-job replanning. Default-constructed = disabled, and
-// ReplanPolicy::off() spells that out; a disabled policy is a guaranteed
-// no-op (the engine never invokes the replanner, results are bit-identical
-// to a build without the feature).
-struct ReplanPolicy {
-  bool enabled = false;
-  // Hard cap on applied replans per job run.
-  int max_replans = 2;
-  // Minimum sim-time between replan *attempts* (applied or not): a burst of
-  // drifting stage finishes triggers at most one planner invocation per
-  // window.
-  Seconds cooldown = 30.0;
-  // A candidate plan is only adopted if its predicted makespan improvement
-  // clears this bar — swapping delay vectors for noise-level gains churns
-  // the submission timeline for nothing.
-  Seconds min_expected_gain = 1.0;
-  // Drift trigger: a finished stage whose measured duration misses the
-  // prediction by more than this relative error requests a replan. Matches
-  // the default obs/analytics warning threshold
-  // (DriftOptions::warn_stage_rel_error).
-  double trigger_rel_error = 0.5;
-
-  static ReplanPolicy off() { return ReplanPolicy{}; }
-};
+// Guard rails on mid-job replanning.
+//
+// Hard cap on applied replans per job run; once spent, the replanner is
+// never consulted again.
+inline constexpr int kMaxReplans = 2;
+// Minimum sim-time between replan *attempts* (applied or not): a burst of
+// drifting stage finishes triggers at most one planner invocation per
+// window.
+inline constexpr Seconds kReplanCooldown = 30.0;
+// A candidate plan is only adopted if its predicted makespan improvement
+// clears this bar — swapping delay vectors for noise-level gains churns the
+// submission timeline for nothing.
+inline constexpr Seconds kMinExpectedGain = 1.0;
+// Drift trigger: a finished stage whose measured duration misses the
+// prediction by more than this relative error requests a replan. The
+// drift analytics (obs/analytics model_drift) warn on a stage at the same
+// bound.
+inline constexpr double kReplanTriggerRelError = 0.5;
 
 // Live-state snapshot the engine hands to the replanner.
 struct ReplanRequest {
@@ -73,8 +68,7 @@ struct ReplanDecision {
   // Full per-stage delay vector; entries for submitted stages are ignored.
   std::vector<Seconds> delay;
   // Predicted makespan improvement of `delay` over the current plan, under
-  // the replanner's (calibrated) model. Compared against
-  // ReplanPolicy::min_expected_gain.
+  // the replanner's (calibrated) model. Compared against kMinExpectedGain.
   Seconds expected_gain = 0;
 };
 

@@ -140,8 +140,7 @@ PhaseBreakdown actual_breakdown(const engine::StageRecord& r) {
 DriftReport model_drift(const std::vector<core::StageTimeline>& predicted,
                         const std::vector<Seconds>& delay,
                         const dag::JobDag& dag,
-                        const engine::JobResult& actual,
-                        const DriftOptions& opt) {
+                        const engine::JobResult& actual) {
   DS_CHECK_MSG(predicted.size() >= actual.stages.size(),
                "predicted timeline shorter than the executed stage set");
   DriftReport rep;
@@ -173,12 +172,12 @@ DriftReport model_drift(const std::vector<core::StageTimeline>& predicted,
     rel_cpu.push_back(d.compute.rel_error);
     rel_wr.push_back(d.write.rel_error);
     rel_dur.push_back(d.duration.rel_error);
-    if (d.duration.rel_error > opt.warn_stage_rel_error) {
+    if (d.duration.rel_error > engine::kReplanTriggerRelError) {
       rep.warnings.push_back(
           "stage " + d.name + ": predicted " + fmt1(d.duration.predicted) +
           " s vs actual " + fmt1(d.duration.actual) + " s (rel error " +
           fmt1(100.0 * d.duration.rel_error) + " % > " +
-          fmt1(100.0 * opt.warn_stage_rel_error) + " %)");
+          fmt1(100.0 * engine::kReplanTriggerRelError) + " %)");
     }
     rep.stages.push_back(std::move(d));
   }
@@ -187,11 +186,11 @@ DriftReport model_drift(const std::vector<core::StageTimeline>& predicted,
   rep.write = summarize_rel(rel_wr);
   rep.duration = summarize_rel(rel_dur);
   const auto check_term = [&](const char* name, const DriftSummary& s) {
-    if (s.count > 0 && s.p90 > opt.warn_p90_rel_error) {
+    if (s.count > 0 && s.p90 > kDriftP90RelErrorBound) {
       rep.warnings.push_back(
           std::string(name) + " term: p90 relative error " +
           fmt1(100.0 * s.p90) + " % exceeds bound " +
-          fmt1(100.0 * opt.warn_p90_rel_error) + " %");
+          fmt1(100.0 * kDriftP90RelErrorBound) + " %");
     }
   };
   check_term("network", rep.network);

@@ -10,8 +10,8 @@
 //    StageRecords — network fetch vs [submitted, last_read_done), compute vs
 //    [last_read_done, last_compute_done), shuffle write vs
 //    [last_compute_done, finish). Residuals aggregate into per-term
-//    percentile summaries with configurable thresholds that turn model decay
-//    into explicit warnings.
+//    percentile summaries, and fixed bounds turn model decay into explicit
+//    warnings.
 //
 //  * Interleaving efficiency (Figs. 4/5/12/13, Tables 3/4): per-resource
 //    busy/idle timelines derived online from the Tracer's engine task spans
@@ -33,6 +33,7 @@
 #include "core/evaluator.h"
 #include "dag/job.h"
 #include "engine/records.h"
+#include "engine/replan.h"
 #include "metrics/sampler.h"
 #include "metrics/stats.h"
 #include "metrics/timeseries.h"
@@ -86,13 +87,10 @@ struct DriftSummary {
   double max = 0;
 };
 
-struct DriftOptions {
-  // Per-stage: warn when a stage's whole-duration relative error exceeds
-  // this bound.
-  double warn_stage_rel_error = 0.5;
-  // Aggregate: warn when a term's p90 relative error exceeds this bound.
-  double warn_p90_rel_error = 0.25;
-};
+// Warning bounds. Per stage: a stage's whole-duration relative error above
+// engine::kReplanTriggerRelError, the bound at which an armed run requests
+// a replan. Aggregate: a term's p90 relative error above this bound.
+inline constexpr double kDriftP90RelErrorBound = 0.25;
 
 struct DriftReport {
   std::vector<StageDrift> stages;  // finished stages only
@@ -108,8 +106,7 @@ struct DriftReport {
 DriftReport model_drift(const std::vector<core::StageTimeline>& predicted,
                         const std::vector<Seconds>& delay,
                         const dag::JobDag& dag,
-                        const engine::JobResult& actual,
-                        const DriftOptions& opt = {});
+                        const engine::JobResult& actual);
 
 // --- interleaving efficiency (span-based) ----------------------------------
 

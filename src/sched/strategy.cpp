@@ -61,7 +61,6 @@ engine::SubmissionPlan DelayStageStrategy::plan(const dag::JobDag& dag,
 core::CalculatorOptions co_optimized(core::CalculatorOptions options,
                                      const engine::RunOptions& run) {
   options.model.speculation = run.speculation;
-  options.model.speculation_threshold = run.speculation_threshold;
   return options;
 }
 

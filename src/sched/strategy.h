@@ -107,9 +107,9 @@ std::unique_ptr<Strategy> make_strategy(const std::string& name);
 
 // Co-optimize the planner's straggler model with the engine's speculation
 // policy: when the run will speculate, the planner should predict with the
-// same capped straggler factor the engine will actually realise (and with
-// the matching threshold) rather than the uncapped extreme-value tail.
-// Returns `options` with the model's speculation knobs aligned to `run`'s.
+// same capped straggler factor the engine will actually realise (both read
+// engine::kSpeculationThreshold) rather than the uncapped extreme-value
+// tail. Returns `options` with the model's speculation flag set to `run`'s.
 // Everything else (quantile target included) passes through unchanged.
 core::CalculatorOptions co_optimized(core::CalculatorOptions options,
                                      const engine::RunOptions& run);

@@ -164,10 +164,15 @@ std::string error_response(const json::Value* id, const std::string& message) {
   return os.str();
 }
 
-void write_job_status(std::ostream& os, const JobStatus& status) {
+void write_job_status(std::ostream& os, const JobStatus& status,
+                      const json::Value* request_id) {
   os.precision(12);
-  os << "{\"v\": " << kNdjsonProtocolVersion
-     << ", \"id\": " << status.id << ", \"name\": ";
+  os << "{\"v\": " << kNdjsonProtocolVersion << ", \"id\": " << status.id;
+  if (request_id != nullptr) {
+    os << ", \"request_id\": ";
+    write_id(os, request_id);
+  }
+  os << ", \"name\": ";
   json::write_string(os, status.name);
   os << ", \"state\": \"" << to_string(status.state)
      << "\", \"priority\": " << status.priority

@@ -29,8 +29,10 @@
 //     store.
 //   sched — "arrival" (absolute submit time in seconds, a number below
 //     sim::kClockHorizon = 2^24 s; absent/negative = back-to-back with the
-//     previous job) and "priority" (the class, lower
-//     = more important). "stats" answers in stream order with one live
+//     previous job), "priority" (the class, lower = more important) and
+//     "id": a job row's "id" is the scheduler's job id, so a line that
+//     carries an "id" gets it back as the row's "request_id" (echoed like
+//     serve echoes "id"). "stats" answers in stream order with one live
 //     {"ev": "stats"} state line (Scheduler::write_stats), evaluated after
 //     the preceding submissions; "save" is an error. A rejected line gets
 //     an error response naming its line number and the stream goes on.
@@ -79,7 +81,10 @@ std::string error_response(const json::Value* id, const std::string& message);
 
 // One completed job as an NDJSON response line ({"v": 1, "id": …, "name",
 // "state", "arrival", "wait", "jct", "slowdown", "planned_delay",
-// "cache": "hit"|"miss"}).
-void write_job_status(std::ostream& os, const JobStatus& status);
+// "cache": "hit"|"miss"}). "id" is the scheduler's JobId; a non-null
+// `request_id` (the "id" of the request line that submitted the job) adds
+// "request_id": … right after it.
+void write_job_status(std::ostream& os, const JobStatus& status,
+                      const json::Value* request_id = nullptr);
 
 }  // namespace ds::service

@@ -135,7 +135,7 @@ service::JobId Scheduler::submit_at(Seconds arrival, const dag::JobDag& dag,
 }
 
 void Scheduler::flight_event(obs::FlightKind kind, service::JobId id,
-                             double value, double aux) {
+                             double value, double aux, std::int8_t cache) {
   if (flight_ == nullptr) return;
   obs::FlightRecord r;
   r.t = sim_.now();
@@ -146,6 +146,7 @@ void Scheduler::flight_event(obs::FlightKind kind, service::JobId id,
   r.occupancy = ledger_.slot_occupancy();
   r.value = value;
   r.aux = aux;
+  r.cache = cache;
   flight_->record(r);
 }
 
@@ -331,18 +332,9 @@ void Scheduler::admit(service::JobId id, const service::ClusterLedger::Grant& g)
   flight_event(obs::FlightKind::kAdmit, id, wait);
   flight_event(obs::FlightKind::kGrant, id, static_cast<double>(g.slots),
                g.bandwidth);
-  if (opt_.plan_delays && flight_ != nullptr) {
-    obs::FlightRecord r;
-    r.t = now;
-    r.kind = obs::FlightKind::kPlan;
-    r.job = id;
-    r.priority = j.status.priority;
-    r.queue_depth = static_cast<double>(queue_.size());
-    r.occupancy = ledger_.slot_occupancy();
-    r.value = j.status.planned_delay;
-    r.cache = j.status.plan_cache_hit ? 1 : 0;
-    flight_->record(r);
-  }
+  if (opt_.plan_delays)
+    flight_event(obs::FlightKind::kPlan, id, j.status.planned_delay, 0,
+                 j.status.plan_cache_hit ? 1 : 0);
   slo_->observe_queue_wait(j.status.priority, wait);
   slo_->evaluate(now);
 

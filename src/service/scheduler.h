@@ -229,8 +229,9 @@ class Scheduler {
       const;
   void on_job_finished(service::JobId id, const engine::JobResult& result);
   // Append one audit record stamped with sim-now and the job's priority.
+  // `cache` is the plan-cache verdict (1 hit, 0 miss, -1 n/a).
   void flight_event(obs::FlightKind kind, service::JobId id, double value,
-                    double aux = 0);
+                    double aux = 0, std::int8_t cache = -1);
   // Start the telemetry cadence if a sink is configured and the chain is
   // not already running (restarted by arrivals after a quiescent period;
   // stops itself when every job is terminal, so drain() terminates).

@@ -31,7 +31,7 @@ struct ClusterSpec {
   BytesPerSec loopback_bw = 0;
   int num_storage_nodes = 3;
   // Cross-stage contention penalty β (see NetworkFabric): ports interleaving
-  // g distinct stages' flows serve C / (1 + β·(g − 1)). Calibrated so the
+  // g distinct stages' flows serve C / (1 + β·ln g). Calibrated so the
   // stock scheduler's synchronized fetch phases lose throughput the way the
   // paper's EC2 measurements show; 0 = ideal work-conserving fabric.
   double congestion_penalty = 0.0;

@@ -50,12 +50,10 @@ std::uint64_t options_digest(const core::CalculatorOptions& options) {
   hash_mix(h, static_cast<std::uint64_t>(options.order));
   hash_mix(h, bits_of(options.step));
   hash_mix(h, bits_of(options.slot));
-  hash_mix(h, options.coarse_to_fine ? 1 : 0);
   hash_mix(h, static_cast<std::uint64_t>(options.coarse_candidates));
   hash_mix(h, static_cast<std::uint64_t>(options.sweeps));
   hash_mix(h, options.memoize ? 1 : 0);
   hash_mix(h, bits_of(options.model.quantile));
-  hash_mix(h, bits_of(options.model.speculation_threshold));
   hash_mix(h, options.model.speculation ? 1 : 0);
   // The seed only reaches the planner through PathOrder::kRandom; digesting
   // it unconditionally would needlessly split cache lines per client seed.

@@ -51,9 +51,7 @@ bool decode_task_name(std::string_view name,
 }  // namespace
 
 std::vector<TraceJob> parse_batch_task(std::istream& in,
-                                       AlibabaParseStats* stats,
-                                       double read_frac, double write_frac) {
-  DS_CHECK(read_frac >= 0 && write_frac >= 0 && read_frac + write_frac < 1.0);
+                                       AlibabaParseStats* stats) {
   AlibabaParseStats local;
   std::map<std::string, std::vector<RawTask>> jobs;
 
@@ -126,8 +124,8 @@ std::vector<TraceJob> parse_batch_task(std::istream& in,
       s.name = t.name;
       s.num_tasks = std::max(1, t.instances);
       const Seconds dur = t.end - t.start;
-      s.read_solo = dur * read_frac;
-      s.write_solo = dur * write_frac;
+      s.read_solo = dur * kBatchTaskReadFrac;
+      s.write_solo = dur * kBatchTaskWriteFrac;
       s.compute_solo = dur - s.read_solo - s.write_solo;
       job.stages.push_back(std::move(s));
     }

@@ -29,14 +29,15 @@ struct AlibabaParseStats {
   std::size_t dropped_jobs = 0;  // incomplete or cyclic
 };
 
-// Parse a batch_task CSV stream into trace jobs. Stage phase times are
-// derived from the recorded task durations with the given network/compute/
-// disk split (a trace records only wall time per task; the split matches
-// the shuffle-read/process/write anatomy of Fig. 8).
+// A trace records only wall time per task: parse_batch_task gives these
+// fractions of each stage's duration to shuffle read and write and the rest
+// to processing (the anatomy of Fig. 8).
+inline constexpr double kBatchTaskReadFrac = 0.25;
+inline constexpr double kBatchTaskWriteFrac = 0.10;
+
+// Parse a batch_task CSV stream into trace jobs, phase times split as above.
 std::vector<TraceJob> parse_batch_task(std::istream& in,
-                                       AlibabaParseStats* stats = nullptr,
-                                       double read_frac = 0.25,
-                                       double write_frac = 0.10);
+                                       AlibabaParseStats* stats = nullptr);
 
 // Convenience: parse from a string (tests) or a file path.
 std::vector<TraceJob> parse_batch_task_text(const std::string& text,

@@ -277,7 +277,6 @@ ReplayResult replay(const std::vector<TraceJob>& jobs,
   const double exec_capacity = static_cast<double>(cs.total_executors());
   const double net_capacity =
       cs.num_workers * 0.5 * (cs.nic_bw_min + cs.nic_bw_max);
-  const double cores_per_machine = cs.executors_per_worker;
 
   // 2) Event timeline. Active jobs all progress at rate 1/D where
   // D = max(1, aggregate demand / capacity): the cluster dilates everyone
@@ -328,7 +327,6 @@ ReplayResult replay(const std::vector<TraceJob>& jobs,
     // hosting that job's tasks alternates between a fetch phase (network
     // busy, CPU near idle) and a processing phase (CPU near full) — the
     // fully-used-or-idle swing the paper measures on machine m_2077.
-    (void)cores_per_machine;
     if (active.empty()) {
       res.machine_cpu.push(t, 0.0);
       res.machine_net.push(t, 0.0);

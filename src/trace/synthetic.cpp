@@ -18,7 +18,7 @@ TraceStage make_stage(Rng& rng, const SyntheticTraceOptions& opt, int index) {
   s.num_tasks = static_cast<int>(std::clamp(rng.lognormal(3.5, 0.9), 1.0, 2000.0));
   s.task_skew = rng.uniform(0.0, 0.4);
   const Seconds dur = std::exp(
-      rng.uniform(std::log(opt.min_stage_time), std::log(opt.max_stage_time)));
+      rng.uniform(std::log(kMinStageTime), std::log(opt.max_stage_time)));
   const double read_frac = rng.uniform(0.15, 0.45);
   const double write_frac = rng.uniform(0.03, 0.12);
   s.read_solo = dur * read_frac;
@@ -32,7 +32,7 @@ TraceStage make_stage(Rng& rng, const SyntheticTraceOptions& opt, int index) {
 std::vector<TraceJob> synthetic_trace(const SyntheticTraceOptions& opt) {
   DS_CHECK(opt.num_jobs > 0);
   DS_CHECK(opt.min_stages >= 1 && opt.max_stages >= opt.min_stages);
-  DS_CHECK(opt.min_stage_time > 0 && opt.max_stage_time >= opt.min_stage_time);
+  DS_CHECK(opt.max_stage_time >= kMinStageTime);
   DS_CHECK(opt.chain_fraction >= 0 && opt.chain_fraction <= 1);
 
   Rng rng(opt.seed);
@@ -45,7 +45,7 @@ std::vector<TraceJob> synthetic_trace(const SyntheticTraceOptions& opt) {
     job.submit_time = rng.uniform(0.0, opt.horizon);
 
     int n = static_cast<int>(
-        std::clamp(std::round(rng.lognormal(opt.stages_mu, opt.stages_sigma)),
+        std::clamp(std::round(rng.lognormal(kStagesMu, kStagesSigma)),
                    static_cast<double>(opt.min_stages),
                    static_cast<double>(opt.max_stages)));
     const bool chain = rng.chance(opt.chain_fraction);

@@ -19,6 +19,13 @@
 
 namespace ds::trace {
 
+// Stage-count lognormal body (median exp(kStagesMu) ≈ 5 stages), clipped to
+// [min_stages, max_stages] — 90% of jobs < 15 stages (Fig. 2).
+inline constexpr double kStagesMu = 1.6;
+inline constexpr double kStagesSigma = 0.85;
+// Shortest stage runtime, the low end of the trace's 10 s - 3000 s span.
+inline constexpr Seconds kMinStageTime = 10;
+
 // CommonOptions supplies the generator seed (threads/obs are unused here —
 // generation is a single deterministic pass).
 struct SyntheticTraceOptions : CommonOptions {
@@ -27,13 +34,10 @@ struct SyntheticTraceOptions : CommonOptions {
   Seconds horizon = 8 * 24 * 3600.0;
   // Fraction of jobs that are pure chains (no parallel stages): 1 - 0.686.
   double chain_fraction = 0.314;
-  // Stage-count lognormal body (median exp(mu)), clipped to [min, max].
-  double stages_mu = 1.6;
-  double stages_sigma = 0.85;
+  // Clip of the stage-count body (kStagesMu, kStagesSigma).
   int min_stages = 2;
   int max_stages = 186;
-  // Stage runtime: log-uniform over [min, max] seconds.
-  Seconds min_stage_time = 10;
+  // Stage runtime: log-uniform over [kMinStageTime, max_stage_time] seconds.
   Seconds max_stage_time = 3000;
 };
 

@@ -1,5 +1,5 @@
 // Drift-closed-loop adaptive planning: mid-job replanning under crashes,
-// the ReplanPolicy thrash guards, the calibration feedback loop, and the
+// the engine/replan.h thrash guards, the calibration feedback loop, and the
 // bit-identity contract when adaptation never fires (ctest label: faults).
 #include <gtest/gtest.h>
 
@@ -68,10 +68,10 @@ dag::JobDag fan() {
   return j;
 }
 
-dag::JobDag chain(int stages) {
+dag::JobDag chain(int stages, Bytes in = 300_MB) {
   dag::JobDag j("chain");
   for (int i = 0; i < stages; ++i)
-    j.add_stage(mk("s" + std::to_string(i), 4, 300_MB, 30_MBps, 300_MB));
+    j.add_stage(mk("s" + std::to_string(i), 4, in, 30_MBps, 300_MB));
   for (int i = 0; i + 1 < stages; ++i) j.add_edge(i, i + 1);
   return j;
 }
@@ -97,16 +97,14 @@ TEST(AdaptiveReplan, CrashTriggersReplanAndJobCompletes) {
   const JobProfile profile = JobProfile::from(dag, spec);
 
   AdaptiveOptions aopt;
-  aopt.replan.enabled = true;
-  aopt.replan.cooldown = 0.0;
-  aopt.replan.min_expected_gain = 0.0;
-  aopt.replan.trigger_rel_error = 1e9;  // isolate the crash trigger
+  aopt.replan = true;
   AdaptivePlanner planner(profile, aopt);
   planner.plan();
 
   engine::RunOptions opt;
   opt.seed = 3;
   planner.arm(opt);
+  opt.predicted_durations.clear();  // no predictions: isolate the crash trigger
 
   // Kill a worker permanently, early — while downstream stages are still
   // pending, so the crash trigger finds delays it is allowed to rewrite.
@@ -126,7 +124,7 @@ TEST(AdaptiveReplan, CrashTriggersReplanAndJobCompletes) {
   // The crash snapshot reached the planner and the frozen-prefix replan was
   // adopted (the shrunk cluster makes the original delays stale).
   EXPECT_GE(r.replans, 1);
-  EXPECT_LE(r.replans, aopt.replan.max_replans);
+  EXPECT_LE(r.replans, engine::kMaxReplans);
 }
 
 TEST(AdaptiveReplan, EngineRejectsArmedPolicyWithoutReplanner) {
@@ -134,26 +132,23 @@ TEST(AdaptiveReplan, EngineRejectsArmedPolicyWithoutReplanner) {
   sim::Simulator sim;
   sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
   engine::RunOptions opt;
-  opt.replan.enabled = true;  // no replanner installed
+  opt.replan = true;  // no replanner installed
   EXPECT_THROW(engine::JobRun(cluster, dag, std::move(opt)), CheckError);
 }
 
 // ---------- thrash guards ----------
 
 TEST(AdaptiveReplan, MaxReplansCapsApplications) {
-  // Every stage finish triggers drift (tiny predictions), and the replanner
-  // always offers an "infinitely better" plan — applications must still stop
-  // at max_replans.
-  const dag::JobDag dag = chain(6);
+  // Every stage finish triggers drift (tiny predictions), the 6 GB stages
+  // finish further apart than the cooldown, and the replanner always offers
+  // an "infinitely better" plan — applications must still stop at
+  // kMaxReplans = 2.
+  const dag::JobDag dag = chain(6, 6_GB);
   sim::Simulator sim;
   sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
   engine::RunOptions opt;
   opt.seed = 3;
-  opt.replan.enabled = true;
-  opt.replan.max_replans = 2;
-  opt.replan.cooldown = 0.0;
-  opt.replan.min_expected_gain = 0.0;
-  opt.replan.trigger_rel_error = 0.0;
+  opt.replan = true;
   opt.predicted_durations.assign(6, 1e-6);  // everything "drifts"
   int calls = 0;
   opt.replanner = [&](const engine::ReplanRequest& req) {
@@ -174,17 +169,16 @@ TEST(AdaptiveReplan, MaxReplansCapsApplications) {
 }
 
 TEST(AdaptiveReplan, CooldownCapsAttemptRate) {
-  // Same drifting chain, but one replan attempt per (huge) cooldown window:
-  // the planner is invoked exactly once, even though it declined to apply.
+  // A drifting chain of small stages: every later finish lands inside the
+  // cooldown window the first attempt opened, so the planner is invoked
+  // exactly once, even though it declined to apply (declines never spend
+  // kMaxReplans).
   const dag::JobDag dag = chain(6);
   sim::Simulator sim;
   sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
   engine::RunOptions opt;
   opt.seed = 3;
-  opt.replan.enabled = true;
-  opt.replan.max_replans = 100;
-  opt.replan.cooldown = 1e9;
-  opt.replan.trigger_rel_error = 0.0;
+  opt.replan = true;
   opt.predicted_durations.assign(6, 1e-6);
   int calls = 0;
   opt.replanner = [&](const engine::ReplanRequest&) {
@@ -273,9 +267,8 @@ TEST(AdaptiveLoop, DisabledAdaptationIsBitIdenticalToPlainPlanning) {
 }
 
 TEST(AdaptiveLoop, ArmedButUntriggeredReplanningIsBitIdenticalToo) {
-  // Replanning enabled with an untriggerable threshold: the run must be
-  // bit-identical to one with the feature absent (zero replans when the
-  // profile is accurate enough to stay under the drift bar).
+  // Replanning armed but no trigger can fire (no predictions, no crashes):
+  // the run must be bit-identical to one with the feature absent.
   const dag::JobDag dag = diamond();
   const auto spec = sim::ClusterSpec::three_node();
   const JobProfile profile = JobProfile::from(dag, spec);
@@ -290,8 +283,7 @@ TEST(AdaptiveLoop, ArmedButUntriggeredReplanningIsBitIdenticalToo) {
       run_to_completion(cluster_a, dag, std::move(oa));
 
   AdaptiveOptions aopt;
-  aopt.replan.enabled = true;
-  aopt.replan.trigger_rel_error = 1e9;  // drift can never fire; no crashes
+  aopt.replan = true;
   AdaptivePlanner planner(profile, aopt);
   planner.plan();
   sim::Simulator sim_b;
@@ -299,6 +291,7 @@ TEST(AdaptiveLoop, ArmedButUntriggeredReplanningIsBitIdenticalToo) {
   engine::RunOptions ob;
   ob.seed = 11;
   planner.arm(ob);
+  ob.predicted_durations.clear();  // drift can never fire; no crashes
   const engine::JobResult rb =
       run_to_completion(cluster_b, dag, std::move(ob));
 

@@ -9,6 +9,7 @@
 #include "core/delay_calculator.h"
 #include "core/perf_model.h"
 #include "core/profile.h"
+#include "engine/job_run.h"
 #include "sim/cluster.h"
 #include "util/check.h"
 #include "util/status.h"
@@ -198,10 +199,9 @@ TEST(QuantileModel, SpeculationCapsTheInflation) {
   ModelOptions spec;
   spec.quantile = 0.999;  // deep tail, would inflate far past the cap
   spec.speculation = true;
-  spec.speculation_threshold = 1.5;
   const PerfModel m(profile, spec);
   for (dag::StageId s = 0; s < dag.num_stages(); ++s)
-    EXPECT_LE(m.straggler_factor(s), spec.speculation_threshold + 1.0);
+    EXPECT_LE(m.straggler_factor(s), engine::kSpeculationThreshold + 1.0);
   EXPECT_FALSE(spec.is_identity());
 }
 
@@ -223,9 +223,6 @@ TEST(Validate, CalculatorOptionsProblemsAreExplained) {
   EXPECT_FALSE(validate(o).is_ok());
   o = {};
   o.coarse_candidates = 1;
-  EXPECT_FALSE(validate(o).is_ok());
-  o = {};
-  o.model.speculation_threshold = 1.0;
   EXPECT_FALSE(validate(o).is_ok());
 
   // The calculator constructor enforces the same contract by throwing.

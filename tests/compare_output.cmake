@@ -1,6 +1,6 @@
 # Runs `${BIN} ${ENTRY}` and fails unless its whole stdout equals the file
-# ${GOLDEN} byte for byte:
-#   cmake -DBIN=<binary> -DENTRY=<argument> -DGOLDEN=<file> -P compare_output.cmake
+# ${GOLDEN} byte for byte. ENTRY is one argument or a CMake list of them:
+#   cmake -DBIN=<binary> -DENTRY=<arguments> -DGOLDEN=<file> -P compare_output.cmake
 execute_process(COMMAND ${BIN} ${ENTRY} OUTPUT_VARIABLE actual
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

@@ -144,7 +144,8 @@ TEST(DelayCalculator, ExhaustiveScanAtLeastAsGoodAsItsOwnBaseline) {
   const dag::JobDag j = workloads::lda();
   const JobProfile p = JobProfile::from(j, spec);
   CalculatorOptions opt;
-  opt.coarse_to_fine = false;
+  // A candidate budget past u_k / step makes the coarse grid every slot.
+  opt.coarse_candidates = 1 << 20;
   opt.step = 10.0;  // keep the exhaustive scan affordable
   const DelaySchedule sched = DelayCalculator(p, opt).compute();
   const Evaluation stock = ScheduleEvaluator(p).evaluate({});

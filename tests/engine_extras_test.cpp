@@ -120,9 +120,6 @@ TEST(FaultInjection, RejectsInvalidConfigs) {
   crashy.faults = &inj;
   crashy.plan.pipelined_shuffle = true;
   EXPECT_THROW(JobRun(cluster, j, crashy), CheckError);
-  RunOptions neg;
-  neg.max_stage_resubmissions = -1;
-  EXPECT_THROW(JobRun(cluster, j, neg), CheckError);
 }
 
 // ---------- priority scheduling ----------

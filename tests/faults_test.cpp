@@ -259,22 +259,41 @@ TEST(FetchFailure, CrashAfterMapRerunsOnlyLostParentTasks) {
 }
 
 TEST(FetchFailure, ResubmissionCapFailsTheJob) {
-  const dag::JobDag dag = chain_job();
+  // A map with a huge output keeps the reduce fetching for minutes. Workers
+  // 0, 1, 2, 0, … crash in turn every 30 s from just after the map
+  // finishes, each back 1 s later with empty disks: every crash takes map
+  // output the reduce still needs, so each one reopens the map once.
+  dag::JobDag dag("resubmit");
+  dag.add_stage(mk("map", 6, 600_MB, 50_MBps, 6_GB));
+  dag.add_stage(mk("reduce", 6, 600_MB, 100_MBps, 0));
+  dag.add_edge(0, 1);
   RunOptions opt;
   opt.seed = 3;
-  const JobResult healthy = run_healthy(dag, opt);
-  sim::FaultPlan plan;
-  plan.crashes.push_back({healthy.tasks[0].node,
-                          healthy.stages[0].finish + 1.0, -1});
-  RunOptions fopt;
-  fopt.seed = 3;
-  fopt.max_stage_resubmissions = 0;  // any reopening is one too many
-  const RunOutput out = run_with_faults(dag, plan, fopt);
-  ASSERT_TRUE(out.finished);
-  ASSERT_TRUE(out.result.failed);
-  EXPECT_FALSE(out.result.complete());
-  EXPECT_NE(out.result.failure_reason.find("max_stage_resubmissions"),
-            std::string::npos);
+  const Seconds map_fin = run_healthy(dag, opt).stages[0].finish;
+  ASSERT_GT(map_fin, 0);
+  auto crash_in_turn = [&](int crashes) {
+    sim::FaultPlan plan;
+    for (int i = 0; i < crashes; ++i)
+      plan.crashes.push_back(
+          {static_cast<sim::NodeId>(i % 3), map_fin + 1.0 + 30.0 * i, 1.0});
+    return run_with_faults(dag, plan, opt);
+  };
+
+  // The cap is exactly kMaxStageResubmissions = 4 (Spark's
+  // spark.stage.maxConsecutiveAttempts): four reopenings are survived...
+  const RunOutput four = crash_in_turn(4);
+  ASSERT_TRUE(four.finished);
+  ASSERT_TRUE(four.result.complete()) << four.result.failure_reason;
+  EXPECT_EQ(four.result.stages[0].resubmissions, 4);
+
+  // ...and a fifth fails the job.
+  const RunOutput five = crash_in_turn(5);
+  ASSERT_TRUE(five.finished);
+  ASSERT_TRUE(five.result.failed);
+  EXPECT_FALSE(five.result.complete());
+  EXPECT_NE(five.result.failure_reason.find("stage 0 resubmitted 5 times"),
+            std::string::npos)
+      << five.result.failure_reason;
 }
 
 TEST(FetchFailure, CrashBeforeMapFinishesRerunsWithoutResubmission) {

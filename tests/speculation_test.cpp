@@ -117,10 +117,6 @@ TEST(Speculation, RejectsIncompatibleModes) {
   agg.speculation = true;
   agg.plan.pipelined_shuffle = true;
   EXPECT_THROW(JobRun(cluster, job, agg), CheckError);
-  RunOptions bad;
-  bad.speculation = true;
-  bad.speculation_threshold = 0.9;
-  EXPECT_THROW(JobRun(cluster, job, bad), CheckError);
 }
 
 TEST(Speculation, ComposesWithTaskFaults) {

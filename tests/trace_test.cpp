@@ -80,6 +80,8 @@ TEST(AlibabaParser, DecodesDagTaskNames) {
   EXPECT_NEAR(j.stages[2].read_solo + j.stages[2].compute_solo +
                   j.stages[2].write_solo,
               100.0, 1e-9);
+  EXPECT_DOUBLE_EQ(j.stages[2].read_solo, 100.0 * kBatchTaskReadFrac);
+  EXPECT_DOUBLE_EQ(j.stages[2].write_solo, 100.0 * kBatchTaskWriteFrac);
 }
 
 TEST(AlibabaParser, KeepsIndependentTasksAsParentlessStages) {
@@ -171,7 +173,7 @@ TEST(Synthetic, StageTimesWithinConfiguredRange) {
   for (const auto& j : synthetic_trace(opt)) {
     for (const auto& s : j.stages) {
       const Seconds d = s.read_solo + s.compute_solo + s.write_solo;
-      EXPECT_GE(d, opt.min_stage_time - 1e-6);
+      EXPECT_GE(d, kMinStageTime - 1e-6);
       EXPECT_LE(d, opt.max_stage_time + 1e-6);
       EXPECT_GT(s.compute_solo, 0);
     }
