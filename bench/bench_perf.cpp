@@ -343,8 +343,9 @@ void tick(TickState* t) {
 //     the single-thread floor; the multi-shard rows report the parallel
 //     speedup (informational — CI containers may have a single core).
 //   * replay — trace replay with engine validation: every job's planned
-//     schedule re-run through the discrete-event engine, fanned out across
-//     shards.
+//     schedule re-run through the discrete-event engine; the replay's
+//     `threads` pool (one thread per shard) fans out the planning and the
+//     engine runs.
 // Every shard count must produce identical results before the numbers are
 // reported.
 void sim_throughput() {
@@ -456,9 +457,8 @@ void sim_throughput() {
   for (int shards : shard_counts) {
     trace::ReplayOptions ropt;
     ropt.strategy = "DelayStage";
-    ropt.threads = 1;
+    ropt.threads = shards;
     ropt.engine_validate = true;
-    ropt.engine_shards = shards;
     ropt.seed = 7;
     const auto t0 = Clock::now();
     const trace::ReplayResult r = trace::replay(jobs, ropt);

@@ -83,6 +83,16 @@ inline long long int_flag(int argc, char** argv, const std::string& name,
   return v;
 }
 
+// A count flag: an integer that must not be negative (what 0 means is up to
+// the flag), so "-1" is an error instead of wrapping to 2^64 - 1.
+inline std::size_t count_flag(int argc, char** argv, const std::string& name,
+                              long long fallback) {
+  const long long v = int_flag(argc, argv, name, fallback);
+  if (v < 0)
+    throw std::runtime_error(name + " must be >= 0, got " + std::to_string(v));
+  return static_cast<std::size_t>(v);
+}
+
 inline double num_flag(int argc, char** argv, const std::string& name,
                        double fallback) {
   const std::string s = flag(argc, argv, name, "");

@@ -243,7 +243,7 @@ int cmd_plan(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
     for (dag::StageId s : p.stages) std::cout << job.stage(s).name << ' ';
     std::cout << '\n';
   }
-  std::cout << core::StageDelayer(schedule).to_properties();
+  std::cout << core::to_properties(schedule.delay);
   std::cout << "# predicted makespan " << schedule.predicted_makespan
             << " s, predicted JCT " << schedule.predicted_jct << " s\n";
   return 0;
@@ -317,8 +317,14 @@ int cmd_run(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
     throw std::runtime_error(
         "--replan/--quantile tune the DelayStage planner; strategy '" +
         strategy_name + "' does not plan delays (pick a DelayStage variant)");
+  std::unique_ptr<sched::Strategy> strategy;
+  if (const Status st = sched::strategy_by_name(strategy_name, &strategy);
+      !st.is_ok())
+    throw std::runtime_error(st.message());
   sim::Simulator sim(sink.get());
   sim::Cluster cluster(sim, spec, seed, sink.get());
+  if (const Status st = sim::validate(faults, cluster); !st.is_ok())
+    throw std::runtime_error(st.message());
   engine::RunOptions opt = base_opt;
   opt.seed = seed;
   opt.obs = sink.get();
@@ -341,11 +347,12 @@ int cmd_run(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
     adaptive->plan();
     adaptive->arm(opt);
   } else {
-    auto strategy = sched::make_strategy(strategy_name);
     opt.plan = strategy->plan(job, cluster);
   }
   sim::FaultInjector injector(cluster, faults, seed);
   if (!faults.empty()) opt.faults = &injector;
+  if (const Status st = engine::validate(opt); !st.is_ok())
+    throw std::runtime_error(st.message());
   engine::JobRun run(cluster, job, opt);
   obs::Tracer* const tr = obs::tracer(sink.get());
   metrics::UtilizationSampler sampler(cluster);
@@ -401,7 +408,7 @@ int cmd_run(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
     return 1;
   }
   std::cout << strategy_name << " JCT: " << fmt(r.jct, 1) << " s\n";
-  if (opt.replan)
+  if (opt.replanner)
     std::cout << "replans applied: " << r.replans << '\n';
   if (any_faults) {
     std::cout << "faults: " << r.node_crashes << " node crash(es), "
@@ -452,7 +459,7 @@ int cmd_report(const ds::dag::JobDag& job, const ds::sim::ClusterSpec& spec,
   sim::Simulator sim(sink.get());
   sim::Cluster cluster(sim, spec, cf.seed, sink.get());
   engine::RunOptions opt;
-  opt.plan = core::StageDelayer(schedule).plan();
+  opt.plan.delay = schedule.delay;
   opt.seed = cf.seed;
   opt.obs = sink.get();
   engine::JobRun run(cluster, job, opt);
@@ -494,13 +501,14 @@ int cmd_serve(int argc, char** argv, const ds::sim::ClusterSpec& spec,
   service::DaemonOptions dopt;
   dopt.cluster = spec;
   dopt.threads = cf.threads;
-  dopt.batch =
-      static_cast<std::size_t>(cli::int_flag(argc, argv, "--batch", 32));
+  dopt.batch = cli::count_flag(argc, argv, "--batch", 32);
   dopt.service.store_path = cli::flag(argc, argv, "--store", "");
-  dopt.service.cache.shards =
-      static_cast<std::size_t>(cli::int_flag(argc, argv, "--cache-shards", 16));
-  dopt.service.cache.capacity_per_shard = static_cast<std::size_t>(
-      cli::int_flag(argc, argv, "--cache-capacity", 64));
+  dopt.service.cache.shards = cli::count_flag(argc, argv, "--cache-shards", 16);
+  if (dopt.service.cache.shards > store::PlanCache::kMaxShards)
+    throw std::runtime_error("--cache-shards must be at most " +
+                             std::to_string(store::PlanCache::kMaxShards));
+  dopt.service.cache.capacity_per_shard =
+      cli::count_flag(argc, argv, "--cache-capacity", 64);
   cf.apply(dopt.service.calculator);
   dopt.service.calculator.obs = sink.get();
   dopt.service.calculator.model.quantile = cf.quantile;
@@ -567,8 +575,7 @@ int cmd_sched(int argc, char** argv, const ds::sim::ClusterSpec& spec,
   const std::string jobs_in = cli::flag(argc, argv, "--jobs-in", "");
   const std::string arrival = cli::flag(argc, argv, "--arrival", "poisson");
   const std::string trace_file = cli::flag(argc, argv, "--trace", "");
-  const auto n =
-      static_cast<std::size_t>(cli::int_flag(argc, argv, "--jobs", 20));
+  const std::size_t n = cli::count_flag(argc, argv, "--jobs", 20);
   const double rate = cli::num_flag(argc, argv, "--rate", 0.02);
   if (rate <= 0) throw std::runtime_error("--rate must be > 0");
 

@@ -66,16 +66,16 @@ int main() {
       core::DelayCalculator(profile).compute();
 
   std::cout << "DelayStage schedule (metrics.properties):\n"
-            << core::StageDelayer(schedule).to_properties()
+            << core::to_properties(schedule.delay)
             << "predicted makespan " << schedule.predicted_makespan
             << " s, predicted JCT " << schedule.predicted_jct << " s\n\n";
 
   // 3. Execute on the simulated 30-node cluster, stock vs delayed.
-  auto run = [&](const engine::SubmissionPlan& plan) {
+  auto run = [&](const std::vector<Seconds>& delay) {
     sim::Simulator sim;
     sim::Cluster cluster(sim, spec, /*seed=*/42);
     engine::RunOptions opt;
-    opt.plan = plan;
+    opt.plan.delay = delay;
     opt.seed = 42;
     engine::JobRun r(cluster, job, opt);
     r.start();
@@ -84,7 +84,7 @@ int main() {
   };
 
   const double stock = run({});
-  const double delayed = run(core::StageDelayer(schedule).plan());
+  const double delayed = run(schedule.delay);
   std::cout << "stock Spark JCT: " << stock << " s\n"
             << "DelayStage JCT:  " << delayed << " s  ("
             << 100.0 * (stock - delayed) / stock << " % faster)\n";

@@ -27,7 +27,6 @@ const DelaySchedule& AdaptivePlanner::plan() {
 void AdaptivePlanner::arm(engine::RunOptions& ro) {
   DS_CHECK_MSG(planned_, "AdaptivePlanner::arm() requires a prior plan()");
   ro.plan.delay = last_.delay;
-  ro.replan = opt_.replan;
   // Predicted per-stage durations drive the engine's drift trigger.
   ro.predicted_durations.assign(last_.predicted_stages.size(), 0.0);
   for (std::size_t i = 0; i < last_.predicted_stages.size(); ++i) {

@@ -7,9 +7,10 @@
 //              base profile corrected by the workload's accumulated EWMA
 //              factors — identity on first sight, observed truth for
 //              recurrent jobs);
-//   arm(ro)    installs the plan, the replan switch and a replanner bound
-//              to this object into an engine::RunOptions, so the run can
-//              replan mid-job when drift or a crash fires a trigger;
+//   arm(ro)    installs the plan and (with AdaptiveOptions::replan) a
+//              replanner bound to this object into an engine::RunOptions,
+//              so the run can replan mid-job when drift or a crash fires a
+//              trigger;
 //   observe(r) folds the finished run's measured phase spans back into the
 //              calibrator, closing the loop for the next recurrence.
 //
@@ -48,8 +49,9 @@ class AdaptivePlanner {
   // workload) makes this bit-identical to DelayCalculator on `base`.
   const DelaySchedule& plan();
 
-  // Install plan + replan switch + replanner into `ro`. Requires plan();
-  // this object must outlive the JobRun (the replanner captures `this`).
+  // Install the plan, and the replanner when replanning is on, into `ro`.
+  // Requires plan(); this object must outlive the JobRun (the replanner
+  // captures `this`).
   void arm(engine::RunOptions& ro);
 
   // Feed a finished run back into the calibrator.
@@ -59,7 +61,6 @@ class AdaptivePlanner {
   // tests). Snapshots in `req`, answer per the frozen-prefix search above.
   engine::ReplanDecision replan(const engine::ReplanRequest& req);
 
-  const DelaySchedule& last_plan() const { return last_; }
   CalibrationFactors factors() const { return calibrator_.factors(sig_); }
 
  private:

@@ -1,8 +1,10 @@
-// ds::CommonOptions — the shared facade every options struct embeds.
+// ds::CommonOptions — the shared facade of the options structs that fan out.
 //
-// RunOptions, CalculatorOptions, ReplayOptions, SyntheticTraceOptions and
-// SchedulerOptions all *inherit* CommonOptions, so `opt.threads`, `opt.seed`
-// and `opt.obs` are spelled and defaulted the same everywhere. The base:
+// CalculatorOptions, ReplayOptions and SchedulerOptions *inherit*
+// CommonOptions, so `opt.threads`, `opt.seed` and `opt.obs` are spelled and
+// defaulted the same everywhere. The single-threaded engine's RunOptions
+// (seed, obs) and the trace generator's SyntheticTraceOptions (seed) declare
+// only the fields they read, with the same names and defaults. The base:
 //   * normalizes 0/negative-means-hardware-concurrency in exactly one place
 //     (resolved_threads());
 //   * carries the observability sink (obs) that sim/, engine/, core/ and
@@ -23,12 +25,11 @@ struct Observability;
 
 struct CommonOptions {
   // Worker threads for whatever fan-out the consumer runs (planner candidate
-  // grids, replay per-job planning). <= 0 = hardware concurrency. The
-  // single-threaded engine ignores it.
+  // grids, replay per-job planning and engine runs, scheduler planning).
+  // <= 0 = hardware concurrency.
   int threads = 1;
-  // Deterministic seed: per-task skew and fault injection (engine),
-  // PathOrder::kRandom (calculator), per-job planning (replay), trace
-  // generation (synthetic).
+  // Deterministic seed: PathOrder::kRandom (calculator), per-job planning
+  // (replay), cluster draws and per-job engine runs (scheduler).
   std::uint64_t seed = 1;
   // Observability sink (metrics + tracing); nullptr = disabled, zero
   // overhead. The sink must outlive the consumer. Purely passive: enabling

@@ -11,27 +11,15 @@ namespace {
 constexpr std::string_view kKeyPrefix = "spark.delaystage.stage.";
 }
 
-StageDelayer::StageDelayer(DelaySchedule schedule)
-    : schedule_(std::move(schedule)) {
-  for (Seconds d : schedule_.delay)
-    DS_CHECK_MSG(d >= 0, "negative delay in schedule");
-}
-
-engine::SubmissionPlan StageDelayer::plan() const {
-  engine::SubmissionPlan p;
-  p.delay = schedule_.delay;
-  return p;
-}
-
-std::string StageDelayer::to_properties() const {
+std::string to_properties(const std::vector<Seconds>& delay) {
   std::ostringstream os;
-  for (std::size_t k = 0; k < schedule_.delay.size(); ++k) {
-    os << kKeyPrefix << k << "=" << schedule_.delay[k] << "\n";
+  for (std::size_t k = 0; k < delay.size(); ++k) {
+    os << kKeyPrefix << k << "=" << delay[k] << "\n";
   }
   return os.str();
 }
 
-DelaySchedule StageDelayer::from_properties(const std::string& text) {
+DelaySchedule from_properties(const std::string& text) {
   DelaySchedule out;
   for (const std::string& raw : split(text, '\n')) {
     const std::string_view line = trim(raw);

@@ -15,6 +15,24 @@ namespace {
 constexpr std::uint64_t kMaxNodes = 1u << 20;
 }  // namespace
 
+Status validate(const RunOptions& o) {
+  if (!(o.task_failure_rate >= 0 && o.task_failure_rate < 1.0))
+    return Status::error("task_failure_rate must be in [0, 1)");
+  if (o.max_attempts < 1) return Status::error("max_attempts must be >= 1");
+  if (o.plan.pipelined_shuffle) {
+    if (o.task_failure_rate > 0)
+      return Status::error(
+          "fault injection is incompatible with pipelined shuffle");
+    if (o.faults != nullptr)
+      return Status::error(
+          "node fault injection is incompatible with pipelined shuffle");
+    if (o.speculation)
+      return Status::error(
+          "speculation is incompatible with pipelined shuffle");
+  }
+  return Status::ok();
+}
+
 JobRun::JobRun(sim::Cluster& cluster, const dag::JobDag& dag, RunOptions opt)
     : cluster_(cluster),
       dag_(dag),
@@ -35,17 +53,8 @@ JobRun::JobRun(sim::Cluster& cluster, const dag::JobDag& dag, RunOptions opt)
           obs::histogram(opt_.obs, "engine.task_seconds", 1.0, 1.6, 24)) {
   DS_CHECK_MSG(static_cast<std::uint64_t>(cluster.total_nodes()) < kMaxNodes,
                "cluster too large for push keys");
-  DS_CHECK_MSG(opt_.task_failure_rate >= 0 && opt_.task_failure_rate < 1.0,
-               "task_failure_rate must be in [0, 1)");
-  DS_CHECK_MSG(opt_.max_attempts >= 1, "max_attempts must be >= 1");
-  DS_CHECK_MSG(!(opt_.plan.pipelined_shuffle && opt_.task_failure_rate > 0),
-               "fault injection is incompatible with pipelined shuffle");
-  DS_CHECK_MSG(!(opt_.plan.pipelined_shuffle && opt_.faults != nullptr),
-               "node fault injection is incompatible with pipelined shuffle");
-  DS_CHECK_MSG(!(opt_.plan.pipelined_shuffle && opt_.speculation),
-               "speculation is incompatible with pipelined shuffle");
-  DS_CHECK_MSG(!opt_.replan || opt_.replanner,
-               "replanning enabled but no replanner installed");
+  const Status valid = validate(opt_);
+  DS_CHECK_MSG(valid.is_ok(), valid.message());
   if (opt_.faults != nullptr) {
     DS_CHECK_MSG(&opt_.faults->cluster() == &cluster_,
                  "fault injector drives a different cluster");
@@ -808,7 +817,7 @@ void JobRun::on_node_crashed(sim::NodeId w) {
 }
 
 void JobRun::consider_replan(dag::StageId trigger, const char* reason) {
-  if (!opt_.replan || !opt_.replanner || failed_ || result_.finished()) return;
+  if (!opt_.replanner || failed_ || result_.finished()) return;
   if (result_.replans >= kMaxReplans) return;
   const Seconds now = cluster_.sim().now();
   // Cooldown anchors on *attempts*, not applications: a burst of drifting
@@ -918,7 +927,7 @@ void JobRun::finish_stage(dag::StageId s) {
   // prediction beyond the warning threshold requests a replan *before*
   // children readiness propagates, so stages becoming ready right now
   // already pick up the corrected delays.
-  if (!state.finished_once && opt_.replan) {
+  if (!state.finished_once && opt_.replanner) {
     const auto i = static_cast<std::size_t>(s);
     const Seconds predicted = i < opt_.predicted_durations.size()
                                   ? opt_.predicted_durations[i]

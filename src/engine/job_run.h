@@ -54,7 +54,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/options.h"
 #include "dag/job.h"
 #include "engine/plan.h"
 #include "engine/records.h"
@@ -63,6 +62,7 @@
 #include "sim/cluster.h"
 #include "sim/faults.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace ds::engine {
 
@@ -77,10 +77,16 @@ inline constexpr int kMaxStageResubmissions = 4;
 // (core::ModelOptions::speculation) caps its straggler estimate with it.
 inline constexpr double kSpeculationThreshold = 1.5;
 
-// CommonOptions supplies `seed` (per-task skew multipliers and fault
-// injection) and `obs` (task/stage metrics and the per-slot span trace);
-// `threads` is ignored — the engine is single-threaded by design.
-struct RunOptions : CommonOptions {
+// The engine is single-threaded by design, so unlike the planner's and the
+// replay's options this struct has no `threads`; `seed` and `obs` carry the
+// CommonOptions names and defaults.
+struct RunOptions {
+  // Per-task skew multipliers and task aborts draw from this seed; pass the
+  // same seed to a FaultInjector for a decorrelated crash schedule.
+  std::uint64_t seed = 1;
+  // Task/stage metrics and the per-slot span trace; nullptr = disabled. Must
+  // outlive the run. Purely passive: it never changes a result bit.
+  obs::Observability* obs = nullptr;
   SubmissionPlan plan;
   // Fault injection, task domain: each attempt independently aborts
   // mid-compute with this probability (must be in [0, 1)) and is retried
@@ -90,9 +96,9 @@ struct RunOptions : CommonOptions {
   double task_failure_rate = 0.0;
   int max_attempts = 4;
   // Fault injection, node domain: subscribe this run to a fault injector
-  // driving whole-node crashes, recoveries and link degradation on the same
-  // cluster. The injector must outlive the run (and FaultInjector::start()
-  // must be called for faults to actually fire). Incompatible with
+  // driving whole-node crashes and recoveries on the same cluster. The
+  // injector must outlive the run (and FaultInjector::start() must be
+  // called for faults to actually fire). Incompatible with
   // pipelined_shuffle.
   sim::FaultInjector* faults = nullptr;
   // Task-level delay scheduling (Zaharia et al., EuroSys'10 — the technique
@@ -107,12 +113,10 @@ struct RunOptions : CommonOptions {
   // first finisher wins. Fixes machine-level stragglers (slow nodes, see
   // ClusterSpec::node_speed_*). Incompatible with pipelined_shuffle.
   bool speculation = false;
-  // Mid-job replanning (see engine/replan.h). Both pieces must be set for
-  // the engine to ever replan: `replan` arms the triggers, and `replanner`
-  // is invoked with a live-state snapshot when one fires. The default
-  // (off, empty replanner) is a guaranteed no-op: results are bit-identical
-  // to a build without the feature.
-  bool replan = false;
+  // Mid-job replanning (see engine/replan.h): a set `replanner` arms the
+  // triggers and is invoked with a live-state snapshot when one fires. The
+  // default (empty) is a guaranteed no-op: results are bit-identical to a
+  // build without the feature.
   Replanner replanner;
   // Planner-predicted stage durations (submitted → finish), indexed by
   // StageId: the drift trigger compares each finished stage against its
@@ -131,6 +135,12 @@ struct RunOptions : CommonOptions {
   // destroy this JobRun while the engine is still on the stack.
   std::function<void(const JobResult&)> on_finished;
 };
+
+// Checks the fields a JobRun enforces: the task failure rate is in [0, 1),
+// at least one attempt, and pipelined_shuffle excludes task aborts, node
+// faults and speculation. JobRun enforces this (throwing CheckError with the
+// same message); CLIs call it up front for a friendly `error: …`.
+Status validate(const RunOptions& options);
 
 class JobRun {
  public:
@@ -262,7 +272,7 @@ class JobRun {
   // Fire opt_.on_finished exactly once, after result_ is terminal.
   void notify_finished();
 
-  // --- mid-job replanning (no-op unless opt_.replan) ---
+  // --- mid-job replanning (no-op without opt_.replanner) ---
   // Evaluate the replan guards (engine/replan.h), snapshot live state,
   // invoke the replanner, and — if the decision clears kMinExpectedGain —
   // install the new delays for every not-yet-submitted stage (rescheduling

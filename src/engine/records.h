@@ -48,9 +48,6 @@ struct StageRecord {
   // re-completion), summed over reopen incidents.
   Seconds recovery_seconds = 0;
 
-  // Fig. 11's grey/white split: shuffle-read span vs processing+write span.
-  Seconds read_span() const { return last_read_done - first_launch; }
-  Seconds process_span() const { return finish - last_read_done; }
   Seconds duration() const { return finish - submitted; }
 };
 
@@ -69,7 +66,7 @@ struct JobResult {
   // Recovery summary.
   int node_crashes = 0;    // crashes that landed while this job ran
   int fetch_failures = 0;  // attempts killed because a shuffle source died
-  // Mid-job replans actually applied (RunOptions::replan; 0 when disabled —
+  // Mid-job replans actually applied (RunOptions::replanner; 0 when unset —
   // and with replanning disabled the run is bit-identical to a build
   // without the feature).
   int replans = 0;

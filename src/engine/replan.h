@@ -6,8 +6,8 @@
 // its live state into a ReplanRequest and hands it to an installed
 // Replanner, which may answer with a fresh delay vector for the stages that
 // have not been submitted yet (already-submitted stages are frozen — their
-// delays are spent). RunOptions::replan arms the triggers; the guard
-// constants below bound how often replanning can happen so it cannot
+// delays are spent). Installing RunOptions::replanner arms the triggers; the
+// guard constants below bound how often replanning can happen so it cannot
 // thrash the run.
 //
 // The engine knows nothing about *how* a new plan is produced: the Replanner

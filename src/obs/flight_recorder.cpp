@@ -63,10 +63,7 @@ const char* to_string(FlightKind kind) {
 }
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions opt)
-    : opt_(std::move(opt)), events_(opt_.enabled ? opt_.capacity : 0) {
-  DS_CHECK_MSG(!opt_.enabled || opt_.capacity > 0,
-               "flight recorder needs capacity >= 1");
-}
+    : opt_(std::move(opt)), events_(opt_.enabled ? kFlightCapacity : 0) {}
 
 FlightRecorder::~FlightRecorder() {
   FlightRecorder* expected = this;

@@ -69,10 +69,12 @@ struct FlightRecord {
   std::uint64_t seq = 0;         // filled by record(): total records so far
 };
 
+// Records an enabled recorder retains; older records are overwritten (and
+// counted as dropped).
+inline constexpr std::size_t kFlightCapacity = std::size_t{1} << 14;
+
 struct FlightRecorderOptions {
   bool enabled = false;
-  // Records retained; older records are overwritten (and counted).
-  std::size_t capacity = std::size_t{1} << 14;
   // Auto-dump target for on_anomaly() and the crash hook. Empty = no
   // auto-dump ("-" = stderr). Overwritten on every dump: the file always
   // holds the most recent trail.

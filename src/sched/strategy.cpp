@@ -5,7 +5,6 @@
 
 #include "core/perf_model.h"
 #include "core/profile.h"
-#include "core/stage_delayer.h"
 #include "util/check.h"
 
 namespace ds::sched {
@@ -47,7 +46,9 @@ engine::SubmissionPlan DelayStageStrategy::plan(const dag::JobDag& dag,
   const core::JobProfile profile = core::JobProfile::from(dag, spec);
   const core::DelayCalculator calc(profile, options_);
   last_ = calc.compute();
-  return core::StageDelayer(last_).plan();
+  engine::SubmissionPlan p;
+  p.delay = last_.delay;
+  return p;
 }
 
 engine::SubmissionPlan DelayStageStrategy::plan(const dag::JobDag& dag,
@@ -55,7 +56,9 @@ engine::SubmissionPlan DelayStageStrategy::plan(const dag::JobDag& dag,
   const core::JobProfile profile = core::JobProfile::from_measured(dag, cluster);
   const core::DelayCalculator calc(profile, options_);
   last_ = calc.compute();
-  return core::StageDelayer(last_).plan();
+  engine::SubmissionPlan p;
+  p.delay = last_.delay;
+  return p;
 }
 
 core::CalculatorOptions co_optimized(core::CalculatorOptions options,
@@ -64,7 +67,9 @@ core::CalculatorOptions co_optimized(core::CalculatorOptions options,
   return options;
 }
 
-std::unique_ptr<Strategy> make_strategy(const std::string& name) {
+namespace {
+// The line-up by name; nullptr for an unknown name.
+std::unique_ptr<Strategy> lookup(const std::string& name) {
   if (name == "Spark") return std::make_unique<StockSparkStrategy>();
   if (name == "AggShuffle") return std::make_unique<AggShuffleStrategy>();
   if (name == "Fuxi") return std::make_unique<StockSparkStrategy>("Fuxi");
@@ -81,8 +86,25 @@ std::unique_ptr<Strategy> make_strategy(const std::string& name) {
     o.order = core::PathOrder::kAscending;
     return std::make_unique<DelayStageStrategy>(o);
   }
-  DS_CHECK_MSG(false, "unknown strategy '" << name << "'");
   return nullptr;
+}
+}  // namespace
+
+Status strategy_by_name(const std::string& name,
+                        std::unique_ptr<Strategy>* out) {
+  *out = lookup(name);
+  if (*out == nullptr)
+    return Status::error("unknown strategy '" + name +
+                         "' (want Spark, AggShuffle, Fuxi, CriticalPathFirst, "
+                         "DelayStage, random DelayStage or ascending "
+                         "DelayStage)");
+  return Status::ok();
+}
+
+std::unique_ptr<Strategy> make_strategy(const std::string& name) {
+  std::unique_ptr<Strategy> s = lookup(name);
+  DS_CHECK_MSG(s != nullptr, "unknown strategy '" << name << "'");
+  return s;
 }
 
 }  // namespace ds::sched

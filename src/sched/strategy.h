@@ -11,6 +11,7 @@
 #include "engine/job_run.h"
 #include "engine/plan.h"
 #include "sim/cluster.h"
+#include "util/status.h"
 
 namespace ds::sched {
 
@@ -102,8 +103,14 @@ class DelayStageStrategy final : public Strategy {
   core::DelaySchedule last_;
 };
 
-// Factory used by benches/examples to iterate over the paper's line-up.
+// Factory used by benches/examples to iterate over the paper's line-up:
+// "Spark", "AggShuffle", "Fuxi", "CriticalPathFirst", "DelayStage",
+// "random DelayStage" and "ascending DelayStage". An unknown name is a
+// CheckError here and a Status error from strategy_by_name(), which CLIs
+// call for a friendly `error: …`.
 std::unique_ptr<Strategy> make_strategy(const std::string& name);
+Status strategy_by_name(const std::string& name,
+                        std::unique_ptr<Strategy>* out);
 
 // Co-optimize the planner's straggler model with the engine's speculation
 // policy: when the run will speculate, the planner should predict with the

@@ -1,36 +1,33 @@
 #include "sim/faults.h"
 
 #include <algorithm>
+#include <string>
 
 #include "util/check.h"
 
 namespace ds::sim {
 
+Status validate(const FaultPlan& plan, const Cluster& cluster) {
+  for (const auto& c : plan.crashes) {
+    if (!cluster.is_worker(c.node))
+      return Status::error("FaultPlan: crash target " + std::to_string(c.node) +
+                           " is not a worker node");
+    if (!(c.at >= 0)) return Status::error("FaultPlan: negative crash time");
+  }
+  if (!(plan.crash_rate >= 0))
+    return Status::error("FaultPlan: negative crash_rate");
+  if (plan.crash_rate > 0 && !(plan.crash_horizon > 0))
+    return Status::error(
+        "FaultPlan: stochastic crashes need a positive crash_horizon");
+  return Status::ok();
+}
+
 FaultInjector::FaultInjector(Cluster& cluster, FaultPlan plan,
                              std::uint64_t seed)
     : cluster_(cluster), plan_(std::move(plan)), rng_(seed ^ kFaultSeedSalt) {
+  const Status st = validate(plan_, cluster_);
+  DS_CHECK_MSG(st.is_ok(), st.message());
   alive_.assign(static_cast<std::size_t>(cluster_.total_nodes()), true);
-  validate();
-}
-
-void FaultInjector::validate() const {
-  for (const auto& c : plan_.crashes) {
-    DS_CHECK_MSG(cluster_.is_worker(c.node),
-                 "FaultPlan: crash target " << c.node
-                                            << " is not a worker node");
-    DS_CHECK_MSG(c.at >= 0, "FaultPlan: negative crash time");
-  }
-  for (const auto& d : plan_.degradations) {
-    DS_CHECK_MSG(d.node >= 0 && d.node < cluster_.total_nodes(),
-                 "FaultPlan: degradation node " << d.node << " out of range");
-    DS_CHECK_MSG(d.factor > 0 && d.factor <= 1.0,
-                 "FaultPlan: degradation factor must be in (0, 1]");
-    DS_CHECK_MSG(d.from >= 0 && d.until > d.from,
-                 "FaultPlan: degradation window must be well-formed");
-  }
-  DS_CHECK_MSG(plan_.crash_rate >= 0, "FaultPlan: negative crash_rate");
-  DS_CHECK_MSG(plan_.crash_rate == 0 || plan_.crash_horizon > 0,
-               "FaultPlan: stochastic crashes need a positive crash_horizon");
 }
 
 void FaultInjector::start() {
@@ -71,16 +68,6 @@ void FaultInjector::start() {
     if (c.at < sim.now()) continue;
     sim.schedule_at(c.at, [this, c] { crash(c.node, c.downtime); });
   }
-  for (const auto& d : plan_.degradations) {
-    if (d.until <= sim.now()) continue;
-    const Seconds from = std::max(d.from, sim.now());
-    sim.schedule_at(from, [this, d] {
-      if (alive(d.node)) cluster_.fabric().set_node_scale(d.node, d.factor);
-    });
-    sim.schedule_at(d.until, [this, d] {
-      cluster_.fabric().set_node_scale(d.node, 1.0);
-    });
-  }
 }
 
 void FaultInjector::crash(NodeId n, Seconds downtime) {
@@ -103,15 +90,11 @@ void FaultInjector::recover(NodeId n) {
   alive_[static_cast<std::size_t>(n)] = true;
   ++recoveries_;
   cluster_.executors().restore_node(n);
-  for (const auto& s : subscribers_) {
-    if (s.on_recover) s.on_recover(n);
-  }
 }
 
-FaultInjector::SubscriptionId FaultInjector::subscribe(Handler on_crash,
-                                                       Handler on_recover) {
+FaultInjector::SubscriptionId FaultInjector::subscribe(Handler on_crash) {
   const SubscriptionId id = next_sub_++;
-  subscribers_.push_back({id, std::move(on_crash), std::move(on_recover)});
+  subscribers_.push_back({id, std::move(on_crash)});
   return id;
 }
 

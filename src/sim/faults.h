@@ -1,9 +1,8 @@
 // Failure-domain fault injection for the cluster simulator.
 //
 // A FaultPlan declares whole-node crashes (scheduled, or drawn from a
-// per-worker Poisson hazard), optional recovery, and per-link network
-// degradation windows. The FaultInjector turns the plan into simulator
-// events and drives the mechanism layer:
+// per-worker Poisson hazard) and optional recovery. The FaultInjector turns
+// the plan into simulator events and drives the mechanism layer:
 //
 //   crash    → node marked dead, its executor slots forfeited
 //              (ExecutorPool::crash_node) and every subscriber notified so
@@ -13,8 +12,6 @@
 //              *fetch failures* that force parent-stage re-execution).
 //   recovery → node returns with all slots free and an empty disk — lost
 //              shuffle output stays lost, exactly like a restarted executor.
-//   degrade  → the node's access link (NIC egress+ingress) runs at
-//              `factor` × its provisioned bandwidth for the window.
 //
 // Everything is expanded deterministically from the plan and the seed at
 // start(): the same (plan, seed) pair yields the same crash times on every
@@ -37,6 +34,7 @@
 #include "sim/cluster.h"
 #include "sim/network.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace ds::sim {
 
@@ -53,22 +51,9 @@ struct NodeCrash {
   Seconds downtime = -1;
 };
 
-// A window during which one node's access link is degraded to
-// `factor` × its provisioned NIC bandwidth (packet loss, a flapping ToR
-// uplink, a throttled EBS client — anything that squeezes the pipe without
-// killing the machine).
-struct LinkDegradation {
-  NodeId node = -1;
-  Seconds from = 0;
-  Seconds until = 0;
-  double factor = 1.0;  // (0, 1]
-};
-
 struct FaultPlan {
   // Scheduled crashes, applied verbatim.
   std::vector<NodeCrash> crashes;
-  // Link degradation windows, applied verbatim.
-  std::vector<LinkDegradation> degradations;
   // Stochastic crashes: each worker fails as a Poisson process with this
   // hazard rate (crashes per node per second), drawn over [0, crash_horizon).
   double crash_rate = 0.0;
@@ -77,10 +62,14 @@ struct FaultPlan {
   // nodes never come back.
   Seconds mean_downtime = -1.0;
 
-  bool empty() const {
-    return crashes.empty() && degradations.empty() && crash_rate <= 0;
-  }
+  bool empty() const { return crashes.empty() && crash_rate <= 0; }
 };
+
+// Checks `plan` against `cluster`: crash targets are worker nodes, crash
+// times are not negative, and a stochastic hazard has a positive horizon.
+// FaultInjector enforces this (throwing CheckError with the same message);
+// CLIs call it up front for a friendly `error: …`.
+Status validate(const FaultPlan& plan, const Cluster& cluster);
 
 class FaultInjector {
  public:
@@ -90,8 +79,7 @@ class FaultInjector {
   // `seed` fixes the stochastic crash draw (internally salted with
   // kFaultSeedSalt — callers pass the same CommonOptions::seed they give
   // the engine and still get an independent stream); the cluster must
-  // outlive the injector. Validates the plan eagerly (nodes in range,
-  // workers only, well-formed windows).
+  // outlive the injector. Validates the plan eagerly (see validate()).
   FaultInjector(Cluster& cluster, FaultPlan plan, std::uint64_t seed);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -114,22 +102,19 @@ class FaultInjector {
     return expanded_;
   }
 
-  // Subscribe to crash/recovery notifications. On a crash, handlers run
-  // *before* the executor pool forfeits the node's slots, so an engine can
-  // unwind its attempts (end_compute, cancel flows/claims) while the node's
-  // accounting still exists. `on_recover` may be null. Subscribers must
-  // unsubscribe before they are destroyed.
-  SubscriptionId subscribe(Handler on_crash, Handler on_recover = nullptr);
+  // Subscribe to crash notifications. Handlers run *before* the executor
+  // pool forfeits the node's slots, so an engine can unwind its attempts
+  // (end_compute, cancel flows/claims) while the node's accounting still
+  // exists. Subscribers must unsubscribe before they are destroyed.
+  SubscriptionId subscribe(Handler on_crash);
   void unsubscribe(SubscriptionId id);
 
  private:
   struct Subscriber {
     SubscriptionId id;
     Handler on_crash;
-    Handler on_recover;
   };
 
-  void validate() const;
   void crash(NodeId n, Seconds downtime);
   void recover(NodeId n);
 

@@ -238,17 +238,6 @@ FlowId NetworkFabric::start_flow(FlowSpec spec) {
   return encode_flow(slot, f.gen);
 }
 
-void NetworkFabric::set_node_scale(NodeId n, double factor) {
-  DS_CHECK_MSG(n >= 0 && n < num_nodes(), "set_node_scale: bad node");
-  DS_CHECK_MSG(factor > 0, "set_node_scale: factor must be positive");
-  if (link_scale_.empty()) link_scale_.assign(nic_bw_.size(), 1.0);
-  if (link_scale_[static_cast<std::size_t>(n)] == factor) return;
-  advance_to_now();
-  link_scale_[static_cast<std::size_t>(n)] = factor;
-  caps_dirty_ = true;
-  mark_dirty();
-}
-
 void NetworkFabric::cancel(FlowId id) {
   advance_to_now();
   const std::int32_t slot = lookup(id);
@@ -276,23 +265,20 @@ void NetworkFabric::advance_to_now() {
   bytes_delivered_.set(delivered_);
 }
 
-void NetworkFabric::rebuild_caps() {
+void NetworkFabric::build_caps() {
   const int n = num_nodes();
   caps_base_.assign(num_ports(), 0.0);
   for (int i = 0; i < n; ++i) {
-    const double scale =
-        link_scale_.empty() ? 1.0 : link_scale_[static_cast<std::size_t>(i)];
     caps_base_[static_cast<std::size_t>(egress_port(i))] =
-        nic_bw_[static_cast<std::size_t>(i)] * scale;
+        nic_bw_[static_cast<std::size_t>(i)];
     caps_base_[static_cast<std::size_t>(ingress_port(i))] =
-        nic_bw_[static_cast<std::size_t>(i)] * scale;
+        nic_bw_[static_cast<std::size_t>(i)];
     caps_base_[static_cast<std::size_t>(loopback_port(i))] = loopback_bw_;
   }
   for (int a = 0; a < num_sites_; ++a)
     for (int b = 0; b < num_sites_; ++b)
       caps_base_[static_cast<std::size_t>(wan_port(a, b))] =
           wan_bw_ > 0 ? wan_bw_ : 1.0;
-  caps_dirty_ = false;
 }
 
 void NetworkFabric::mark_dirty() {
@@ -329,7 +315,7 @@ Seconds NetworkFabric::reallocate() {
     sc_slots_.push_back(i);
     sc_ports_.push_back(slab_[static_cast<std::size_t>(i)].ports);
   }
-  if (caps_dirty_) rebuild_caps();
+  if (caps_base_.empty()) build_caps();
   sc_caps_.assign(caps_base_.begin(), caps_base_.end());
 
   // Cross-group contention: a port interleaving g distinct flow groups

@@ -11,9 +11,9 @@
 // (Cluster::disk): a one-node fabric whose shuffle writes are loopback
 // flows, so its one port gives each of w concurrent writers D / w.
 //
-// Once per instant. A flow start, cancel, link-scale change or completion
-// only marks the fabric dirty; the allocation is recomputed once, when the
-// Simulator flushes it before the clock can move. A reduce task's shuffle
+// Once per instant. A flow start, cancel or completion only marks the
+// fabric dirty; the allocation is recomputed once, when the Simulator
+// flushes it before the clock can move. A reduce task's shuffle
 // read starts one flow per source node at the same instant — one coflow,
 // one water-filling pass instead of one per flow. The result is the eager
 // fabric's, bit for bit: the allocation depends only on the flow set, and
@@ -29,7 +29,7 @@
 // safe on stale ids), each port keeps its count of flows per group (so the
 // group penalty needs no sort), the water-filling works out of persistent
 // scratch arenas (MaxMinScratch, flat CSR port->flow lists), and port
-// capacities are cached between link-scale changes — the steady state
+// capacities are built once, at the first reallocation — the steady state
 // allocates nothing per flow start/finish/cancel. Flow enumeration order is
 // the insertion order, which also makes completion-callback order
 // structurally deterministic.
@@ -124,11 +124,6 @@ class NetworkFabric : private Flushable {
   std::size_t active_flows() const { return num_active_; }
   BytesPerSec nic_bw(NodeId n) const { return nic_bw_.at(static_cast<std::size_t>(n)); }
 
-  // Scale node n's access link (egress + ingress) to `factor` × its
-  // provisioned bandwidth — the FaultInjector's degradation windows. Active
-  // flows are re-allocated at this instant; 1.0 restores full capacity.
-  void set_node_scale(NodeId n, double factor);
-
   // Instantaneous NIC ingress throughput for metrics sampling: out[n] is
   // the summed rate of the remote flows into node n (loopback traffic never
   // touches the NIC). Flushes a pending reallocation first.
@@ -184,7 +179,7 @@ class NetworkFabric : private Flushable {
     f.remaining -= used;
     delivered_ += used;
   }
-  void rebuild_caps();
+  void build_caps();
   // Reserve the completion event's sequence number and defer a flush.
   void mark_dirty();
   void flush() override;
@@ -195,7 +190,6 @@ class NetworkFabric : private Flushable {
 
   Simulator& sim_;
   std::vector<BytesPerSec> nic_bw_;
-  std::vector<double> link_scale_;  // lazily sized; empty = all 1.0
   BytesPerSec loopback_bw_;
   double group_penalty_;
   std::vector<int> site_of_;
@@ -218,8 +212,7 @@ class NetworkFabric : private Flushable {
   // reallocation, never reallocated in steady state.
   std::vector<FlowPorts> sc_ports_;
   std::vector<std::int32_t> sc_slots_;
-  std::vector<double> caps_base_;
-  bool caps_dirty_ = true;
+  std::vector<double> caps_base_;  // built by the first reallocation
   std::vector<double> sc_caps_;
   // Per port: (group, active flows of that group). The list's size is the
   // port's number of distinct groups. Kept only when group_penalty_ > 0.

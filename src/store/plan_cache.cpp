@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/check.h"
+
 namespace ds::store {
 
 namespace {
@@ -92,6 +94,8 @@ PlanCache::PlanCache(Options options, obs::Observability* obs)
       stale_metric_(obs::counter(obs, "plancache.stale")),
       invalidations_metric_(obs::counter(obs, "plancache.invalidations")),
       hit_rate_(obs::gauge(obs, "plancache.hit_rate")) {
+  DS_CHECK_MSG(options.shards <= kMaxShards,
+               "PlanCache: shards must be at most " << kMaxShards);
   const std::size_t n = round_up_pow2(options.shards > 0 ? options.shards : 1);
   shard_mask_ = n - 1;
   shards_.reserve(n);

@@ -66,8 +66,12 @@ struct PlanKey {
 
 class PlanCache {
  public:
+  // Upper bound on Options::shards (each shard is a mutex and an LRU list).
+  static constexpr std::size_t kMaxShards = std::size_t{1} << 20;
+
   struct Options {
-    // Rounded up to a power of two. One mutex per shard.
+    // Rounded up to a power of two; 0 means 1, above kMaxShards is a
+    // CheckError. One mutex per shard.
     std::size_t shards = 16;
     // LRU bound per shard; total capacity = shards × capacity_per_shard.
     std::size_t capacity_per_shard = 64;

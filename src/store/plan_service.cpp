@@ -1,7 +1,8 @@
 #include "store/plan_service.h"
 
+#include <iostream>
+
 #include "util/check.h"
-#include "util/log.h"
 
 namespace ds::store {
 
@@ -14,17 +15,18 @@ PlanService::PlanService(PlanServiceOptions options, obs::Observability* obs)
   if (!opt_.store_path.empty()) {
     const Status st = profiles_.load(opt_.store_path, &load_info_);
     // A bad header is a real misconfiguration (wrong file), but it must not
-    // take the service down: log and run cold, exactly like a first boot.
+    // take the service down: warn and run cold, exactly like a first boot.
     // Remember the error so save() does not replace that file.
     if (!st.is_ok()) {
-      DS_WARN(st.message() << " — starting with an empty profile store");
+      std::clog << "[WARN ] " << st.message()
+                << " — starting with an empty profile store\n";
       load_error_ = st;
       load_info_ = core::ModelCalibrator::LoadInfo{};
       load_info_.missing = true;
     } else if (load_info_.truncated) {
-      DS_WARN("profile store " << opt_.store_path
-                               << " had a corrupt tail; recovered "
-                               << load_info_.records << " record(s)");
+      std::clog << "[WARN ] profile store " << opt_.store_path
+                << " had a corrupt tail; recovered " << load_info_.records
+                << " record(s)\n";
     }
   }
 }

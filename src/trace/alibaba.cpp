@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "util/check.h"
-#include "util/log.h"
 #include "util/strings.h"
 
 namespace ds::trace {

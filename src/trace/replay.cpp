@@ -162,12 +162,6 @@ Status validate(const ReplayOptions& options) {
                          "(need at least the grid ends)");
   if (options.sweeps < 1)
     return Status::error("ReplayOptions: sweeps must be >= 1");
-  if (options.engine_shards != 1 && !options.engine_validate &&
-      !options.adaptive)
-    return Status::error(
-        "ReplayOptions: engine_shards is set but engine_validate is off — "
-        "no engine runs would use the shards (enable engine_validate, or "
-        "leave engine_shards at 1)");
   if (!(options.perturb_network > 0) || !(options.perturb_compute > 0))
     return Status::error("ReplayOptions: perturbation scales must be "
                          "positive (1.0 = accurate profile)");
@@ -259,12 +253,11 @@ ReplayResult replay(const std::vector<TraceJob>& jobs,
     // 1b) Engine validation: replay each job's planned schedule through the
     //     real discrete-event engine on its dedicated sub-cluster. Every
     //     index is a self-contained world (own Simulator, Cluster, JobRun),
-    //     so the fan-out is bit-identical for any shard count.
+    //     so the fan-out is bit-identical for any thread count.
     if (options.engine_validate) {
       engine_jcts.assign(jobs.size(), 0.0);
-      ThreadPool shards(options.engine_shards);
       const auto [cs, ref] = sub_cluster_for(options);
-      shards.parallel_for(jobs.size(), [&](std::size_t i) {
+      pool.parallel_for(jobs.size(), [&](std::size_t i) {
         engine_jcts[i] = run_on_engine(to_job_dag(jobs[i], ref), cs,
                                        options.seed + i, models[i].delay)
                              .jct;

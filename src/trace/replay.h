@@ -30,7 +30,8 @@ namespace ds::trace {
 
 // CommonOptions supplies:
 //   threads — workers for the per-job planning fan-out (stage 1 of the
-//     replay). Each job's model is an independent computation seeded by
+//     replay) and, with engine_validate, for the engine runs. Each job's
+//     model and engine run is an independent computation seeded by
 //     (seed + index) and written to its own slot, so the result is
 //     bit-identical for any thread count. <= 0 = hardware concurrency.
 //   seed — base seed; job i plans with seed + i.
@@ -51,12 +52,10 @@ struct ReplayOptions : CommonOptions {
   int evaluator_slots = 150;  // target #slots per evaluation
   // Engine validation: additionally run every job's planned schedule through
   // the real discrete-event engine (engine::JobRun) on its dedicated
-  // sub-cluster, fanned out across a ThreadPool of `engine_shards` workers
-  // (each job is a fully independent simulated world). The engine-measured
-  // JCT lands in ReplayJobResult::engine_jct. Results are bit-identical for
-  // any shard count, including 1.
+  // sub-cluster, fanned out on the `threads` pool (each job is a fully
+  // independent simulated world). The engine-measured JCT lands in
+  // ReplayJobResult::engine_jct.
   bool engine_validate = false;
-  int engine_shards = 1;  // <= 0 = hardware concurrency
   // Adaptive replay: jobs are processed *sequentially in arrival order*;
   // each is planned on its workload's calibrated profile (a shared
   // ModelCalibrator keyed by workload signature), executed through the
@@ -73,8 +72,7 @@ struct ReplayOptions : CommonOptions {
   double perturb_compute = 1.0;
 };
 
-// Validates field combinations (positive machine/slot/candidate counts,
-// engine_shards only meaningful under engine_validate or adaptive, sane
+// Validates the fields (positive machine/slot/candidate counts, sane
 // perturbation scales). replay() enforces this (throwing CheckError with
 // the same message); CLIs call it up front for a friendly `error: …`.
 Status validate(const ReplayOptions& options);

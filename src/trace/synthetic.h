@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/options.h"
 #include "trace/trace.h"
 
 namespace ds::trace {
@@ -26,9 +25,10 @@ inline constexpr double kStagesSigma = 0.85;
 // Shortest stage runtime, the low end of the trace's 10 s - 3000 s span.
 inline constexpr Seconds kMinStageTime = 10;
 
-// CommonOptions supplies the generator seed (threads/obs are unused here —
-// generation is a single deterministic pass).
-struct SyntheticTraceOptions : CommonOptions {
+// Generation is a single deterministic pass, so there is no `threads` or
+// `obs`; `seed` keeps the CommonOptions name and default.
+struct SyntheticTraceOptions {
+  std::uint64_t seed = 1;
   std::size_t num_jobs = 2000;
   // Job submissions are Poisson over this horizon (the trace spans 8 days).
   Seconds horizon = 8 * 24 * 3600.0;

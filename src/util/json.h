@@ -23,12 +23,9 @@ class Value {
   Value() = default;
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
   bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
   bool is_string() const { return type_ == Type::kString; }
   bool is_number() const { return type_ == Type::kNumber; }
-  bool is_bool() const { return type_ == Type::kBool; }
 
   // Typed reads with a fallback — the daemon treats absent and wrong-typed
   // fields identically (use the default).

@@ -104,18 +104,6 @@ TEST(ReplayValidation, BadOptionCombosAreExplainedNotClamped) {
   }
   {
     ReplayOptions o;
-    o.engine_shards = 4;  // shards without any engine runs to shard
-    const Status st = validate(o);
-    ASSERT_FALSE(st.is_ok());
-    EXPECT_NE(st.message().find("engine_shards"), std::string::npos);
-    o.engine_validate = true;  // now the shards mean something
-    EXPECT_TRUE(validate(o).is_ok());
-    o.engine_validate = false;
-    o.adaptive = true;  // adaptive runs the engine too
-    EXPECT_TRUE(validate(o).is_ok());
-  }
-  {
-    ReplayOptions o;
     o.perturb_network = 0.0;
     EXPECT_FALSE(validate(o).is_ok());
     o.perturb_network = 1.0;

@@ -127,15 +127,6 @@ TEST(AdaptiveReplan, CrashTriggersReplanAndJobCompletes) {
   EXPECT_LE(r.replans, engine::kMaxReplans);
 }
 
-TEST(AdaptiveReplan, EngineRejectsArmedPolicyWithoutReplanner) {
-  const dag::JobDag dag = chain(2);
-  sim::Simulator sim;
-  sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
-  engine::RunOptions opt;
-  opt.replan = true;  // no replanner installed
-  EXPECT_THROW(engine::JobRun(cluster, dag, std::move(opt)), CheckError);
-}
-
 // ---------- thrash guards ----------
 
 TEST(AdaptiveReplan, MaxReplansCapsApplications) {
@@ -148,7 +139,6 @@ TEST(AdaptiveReplan, MaxReplansCapsApplications) {
   sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
   engine::RunOptions opt;
   opt.seed = 3;
-  opt.replan = true;
   opt.predicted_durations.assign(6, 1e-6);  // everything "drifts"
   int calls = 0;
   opt.replanner = [&](const engine::ReplanRequest& req) {
@@ -178,7 +168,6 @@ TEST(AdaptiveReplan, CooldownCapsAttemptRate) {
   sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
   engine::RunOptions opt;
   opt.seed = 3;
-  opt.replan = true;
   opt.predicted_durations.assign(6, 1e-6);
   int calls = 0;
   opt.replanner = [&](const engine::ReplanRequest&) {

@@ -11,7 +11,6 @@
 
 #include "core/delay_calculator.h"
 #include "core/profile.h"
-#include "core/stage_delayer.h"
 #include "engine/job_run.h"
 #include "obs/analytics/analytics.h"
 #include "obs/analytics/report.h"
@@ -248,7 +247,7 @@ TEST(EndToEnd, EngineRunYieldsDriftAndInterleavingReports) {
   sim::Simulator sim(&o);
   sim::Cluster cluster(sim, spec, 42, &o);
   engine::RunOptions opt;
-  opt.plan = core::StageDelayer(schedule).plan();
+  opt.plan.delay = schedule.delay;
   opt.seed = 42;
   opt.obs = &o;
   engine::JobRun run(cluster, dag, opt);

@@ -155,10 +155,9 @@ TEST(DelayCalculator, ExhaustiveScanAtLeastAsGoodAsItsOwnBaseline) {
 TEST(StageDelayer, PropertiesRoundTrip) {
   DelaySchedule s;
   s.delay = {0.0, 110.5, 0.0, 42.0};
-  const StageDelayer delayer(s);
-  const std::string text = delayer.to_properties();
+  const std::string text = to_properties(s.delay);
   EXPECT_NE(text.find("spark.delaystage.stage.1=110.5"), std::string::npos);
-  const DelaySchedule back = StageDelayer::from_properties(text);
+  const DelaySchedule back = from_properties(text);
   ASSERT_EQ(back.delay.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_DOUBLE_EQ(back.delay[i], s.delay[i]);
@@ -170,29 +169,19 @@ TEST(StageDelayer, FromPropertiesIgnoresCommentsAndForeignKeys) {
       "spark.executor.memory=2g\n"
       "spark.delaystage.stage.2=17\n"
       "\n";
-  const DelaySchedule s = StageDelayer::from_properties(text);
+  const DelaySchedule s = from_properties(text);
   ASSERT_EQ(s.delay.size(), 3u);
   EXPECT_DOUBLE_EQ(s.delay[2], 17.0);
   EXPECT_DOUBLE_EQ(s.delay[0], 0.0);
 }
 
 TEST(StageDelayer, RejectsMalformedProperties) {
-  EXPECT_THROW(StageDelayer::from_properties("spark.delaystage.stage.x=3\n"),
+  EXPECT_THROW(from_properties("spark.delaystage.stage.x=3\n"),
                CheckError);
-  EXPECT_THROW(StageDelayer::from_properties("spark.delaystage.stage.1=abc\n"),
+  EXPECT_THROW(from_properties("spark.delaystage.stage.1=abc\n"),
                CheckError);
-  EXPECT_THROW(StageDelayer::from_properties("spark.delaystage.stage.1=-5\n"),
+  EXPECT_THROW(from_properties("spark.delaystage.stage.1=-5\n"),
                CheckError);
-}
-
-TEST(StageDelayer, PlanCarriesDelays) {
-  DelaySchedule s;
-  s.delay = {5.0, 0.0};
-  const engine::SubmissionPlan plan = StageDelayer(s).plan();
-  EXPECT_DOUBLE_EQ(plan.delay_for(0), 5.0);
-  EXPECT_DOUBLE_EQ(plan.delay_for(1), 0.0);
-  EXPECT_DOUBLE_EQ(plan.delay_for(7), 0.0);  // out of range -> 0
-  EXPECT_FALSE(plan.pipelined_shuffle);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //    world and the merge is positional, so any divergence means hidden
 //    shared state in the engine.
 //  * The replay engine-validation fan-out must produce identical
-//    ReplayJobResult streams for shard counts {1, 2, 8}.
+//    ReplayJobResult streams for thread counts {1, 2, 8}.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -77,21 +77,20 @@ TEST(ReplayEngineValidation, IdenticalAcrossShardCounts) {
   const auto jobs = trace::synthetic_trace(sopt);
   trace::ReplayOptions opt;
   opt.strategy = "DelayStage";
-  opt.threads = 1;
   opt.engine_validate = true;
 
   std::vector<trace::ReplayJobResult> reference;
-  for (int shards : {1, 2, 8}) {
-    opt.engine_shards = shards;
+  for (int threads : {1, 2, 8}) {
+    opt.threads = threads;
     const auto res = trace::replay(jobs, opt);
     ASSERT_EQ(res.jobs.size(), jobs.size());
     for (const auto& j : res.jobs) EXPECT_GT(j.engine_jct, 0.0);
-    if (shards == 1) {
+    if (threads == 1) {
       reference = res.jobs;
       continue;
     }
     for (std::size_t i = 0; i < res.jobs.size(); ++i) {
-      // Bit-exact across shard counts: same seeds, same per-index worlds.
+      // Bit-exact across thread counts: same seeds, same per-index worlds.
       EXPECT_EQ(res.jobs[i].engine_jct, reference[i].engine_jct);
       EXPECT_EQ(res.jobs[i].jct, reference[i].jct);
       EXPECT_EQ(res.jobs[i].dedicated_time, reference[i].dedicated_time);

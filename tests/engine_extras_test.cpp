@@ -108,17 +108,21 @@ TEST(FaultInjection, RejectsInvalidConfigs) {
   sim::Simulator sim;
   sim::Cluster cluster(sim, sim::ClusterSpec::three_node(), 7);
   const dag::JobDag j = chain_job();
+  EXPECT_TRUE(validate(RunOptions{}).is_ok());
   RunOptions bad;
   bad.task_failure_rate = 1.5;
+  EXPECT_FALSE(validate(bad).is_ok());
   EXPECT_THROW(JobRun(cluster, j, bad), CheckError);
   RunOptions agg;
   agg.task_failure_rate = 0.2;
   agg.plan.pipelined_shuffle = true;
+  EXPECT_FALSE(validate(agg).is_ok());
   EXPECT_THROW(JobRun(cluster, j, agg), CheckError);
   sim::FaultInjector inj(cluster, {}, 1);
   RunOptions crashy;
   crashy.faults = &inj;
   crashy.plan.pipelined_shuffle = true;
+  EXPECT_FALSE(validate(crashy).is_ok());
   EXPECT_THROW(JobRun(cluster, j, crashy), CheckError);
 }
 

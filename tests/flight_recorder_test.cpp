@@ -31,10 +31,9 @@
 namespace ds {
 namespace {
 
-obs::FlightRecorderOptions enabled_options(std::size_t capacity = 1 << 10) {
+obs::FlightRecorderOptions enabled_options() {
   obs::FlightRecorderOptions fopt;
   fopt.enabled = true;
-  fopt.capacity = capacity;
   return fopt;
 }
 
@@ -80,19 +79,20 @@ TEST(FlightRecorder, DisabledRecorderIsInert) {
 }
 
 TEST(FlightRecorder, RingWrapsKeepingTheNewestRecords) {
-  obs::FlightRecorder rec(enabled_options(/*capacity=*/8));
-  for (int i = 0; i < 20; ++i) {
+  obs::FlightRecorder rec(enabled_options());
+  constexpr std::size_t kCap = obs::kFlightCapacity;
+  for (std::size_t i = 0; i < kCap + 12; ++i) {
     obs::FlightRecord r;
     r.t = static_cast<double>(i);
     r.kind = obs::FlightKind::kMark;
     r.value = static_cast<double>(i);
     rec.record(r);
   }
-  EXPECT_EQ(rec.recorded(), 20u);
+  EXPECT_EQ(rec.recorded(), kCap + 12);
   EXPECT_EQ(rec.dropped(), 12u);
-  EXPECT_EQ(rec.size(), 8u);
+  EXPECT_EQ(rec.size(), kCap);
   const auto trail = rec.snapshot();
-  ASSERT_EQ(trail.size(), 8u);
+  ASSERT_EQ(trail.size(), kCap);
   for (std::size_t i = 0; i < trail.size(); ++i) {
     EXPECT_DOUBLE_EQ(trail[i].value, 12.0 + static_cast<double>(i));
     EXPECT_EQ(trail[i].seq, 12u + i);  // seq survives the wrap

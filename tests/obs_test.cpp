@@ -171,10 +171,10 @@ TEST(Obs, RefreshDerivedPublishesDropCounters) {
   topt.ring_capacity = 4;
   obs::FlightRecorderOptions fopt;
   fopt.enabled = true;
-  fopt.capacity = 4;
   obs::Observability obs(topt, fopt);
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 10; ++i)
     obs.tracer.instant("t", "e", static_cast<double>(i), 0, 0);
+  for (std::size_t i = 0; i < obs::kFlightCapacity + 6; ++i) {
     obs::FlightRecord r;
     r.kind = obs::FlightKind::kMark;
     obs.flight.record(r);
@@ -216,22 +216,22 @@ TEST(Tracer, RingWrapsKeepingTheNewestEvents) {
 // Both owners of an EventRing count alike: recorded() is every record ever
 // taken, size() what the ring retains, dropped() what wraparound overwrote.
 TEST(Tracer, CountsLikeTheFlightRecorder) {
+  constexpr std::size_t kCap = obs::kFlightCapacity;
   obs::TracerOptions topt;
   topt.enabled = true;
-  topt.ring_capacity = 8;
+  topt.ring_capacity = kCap;
   obs::FlightRecorderOptions fopt;
   fopt.enabled = true;
-  fopt.capacity = 8;
   obs::Observability o(topt, fopt);
-  for (int i = 0; i < 20; ++i) {
+  for (std::size_t i = 0; i < kCap + 12; ++i) {
     o.tracer.instant("t", "e", static_cast<double>(i), 0, 0);
     o.flight.record(obs::FlightRecord{});
   }
-  EXPECT_EQ(o.tracer.recorded(), 20u);
-  EXPECT_EQ(o.tracer.size(), 8u);
+  EXPECT_EQ(o.tracer.recorded(), kCap + 12);
+  EXPECT_EQ(o.tracer.size(), kCap);
   EXPECT_EQ(o.tracer.dropped(), 12u);
-  EXPECT_EQ(o.flight.recorded(), 20u);
-  EXPECT_EQ(o.flight.size(), 8u);
+  EXPECT_EQ(o.flight.recorded(), kCap + 12);
+  EXPECT_EQ(o.flight.size(), kCap);
   EXPECT_EQ(o.flight.dropped(), 12u);
 }
 

@@ -43,9 +43,6 @@ TEST(CommonOptions, DerivedStructsInheritTheSharedFields) {
   trace::ReplayOptions ropt;
   ropt.threads = 2;
   EXPECT_EQ(ropt.resolved_threads(), 2);
-  trace::SyntheticTraceOptions topt;
-  topt.seed = 77;
-  EXPECT_EQ(static_cast<CommonOptions&>(topt).seed, 77u);
 }
 
 TEST(CommonOptions, SyntheticTraceSeedLivesInOptions) {

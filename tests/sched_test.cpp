@@ -31,6 +31,14 @@ TEST(Strategy, FactoryKnowsTheLineup) {
     EXPECT_EQ(s->name(), name);
   }
   EXPECT_THROW(make_strategy("Quincy"), CheckError);
+  std::unique_ptr<Strategy> s;
+  EXPECT_TRUE(strategy_by_name("CriticalPathFirst", &s).is_ok());
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->name(), "CriticalPathFirst");
+  const Status st = strategy_by_name("Quincy", &s);
+  EXPECT_FALSE(st.is_ok());
+  EXPECT_NE(st.message().find("Quincy"), std::string::npos);
+  EXPECT_EQ(s, nullptr);
 }
 
 TEST(Strategy, StockSparkAndFuxiAreZeroDelay) {
